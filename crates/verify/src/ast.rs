@@ -1,7 +1,7 @@
 //! A lightweight item parser over the [`crate::lexer`] token stream.
 //!
-//! This is not a Rust parser — it recognizes exactly the shapes the flow
-//! rules need: `fn` items with their name, span, and body token range;
+//! This is not a Rust parser — it recognizes exactly the shapes the rules
+//! need: `fn` items with their name, span, and body token range;
 //! balanced-delimiter matching; `#[cfg(test)]` regions; and the calls,
 //! method calls, and macro invocations inside each body. Everything else
 //! (types, generics, expressions) flows through as raw tokens that the
@@ -11,7 +11,7 @@
 //! recognized", never to an error, so one broken file cannot take down the
 //! workspace scan.
 
-use crate::lexer::{self, Lexed, Tok, TokKind};
+use crate::lexer::{self, Tok, TokKind};
 
 /// Sentinel for "no matching delimiter" in [`ParsedFile::matching`].
 pub const NO_MATCH: usize = usize::MAX;
@@ -54,19 +54,18 @@ pub struct CallSite {
     pub tok: usize,
 }
 
-/// A fully lexed and item-parsed source file — the unit the flow rules and
-/// the call graph consume.
+/// A fully lexed and item-parsed source file — the unit every rule and the
+/// call graph consume.
 #[derive(Debug)]
 pub struct ParsedFile {
     pub crate_name: String,
     pub rel_path: String,
     pub source: String,
-    /// Masked source as chars (comments/literals blanked) — the substrate
-    /// for the ported v1 token rules.
-    pub masked_chars: Vec<char>,
-    /// Per-char `#[cfg(test)]` region mask over the masked source.
-    pub in_test: Vec<bool>,
     pub toks: Vec<Tok>,
+    /// `in_test[i]` is true when `toks[i]` sits inside a `#[cfg(test)]`
+    /// item (the attribute itself through the item's closing brace or
+    /// `;`). Hits on such tokens are exempt from all rules.
+    pub in_test: Vec<bool>,
     /// `matching[i]` = index of the delimiter token matching `toks[i]`
     /// (both directions), or [`NO_MATCH`].
     pub matching: Vec<usize>,
@@ -75,21 +74,27 @@ pub struct ParsedFile {
 
 impl ParsedFile {
     pub fn parse(crate_name: &str, rel_path: &str, source: &str) -> ParsedFile {
-        let Lexed { toks, masked } = lexer::lex(source);
-        let masked_chars: Vec<char> = masked.chars().collect();
-        let in_test = crate::test_regions(&masked);
+        let toks = lexer::lex(source);
         let matching = match_delims(&toks);
+        let in_test = test_regions(&toks, &matching);
         let fns = parse_fns(&toks, &matching, &in_test);
         ParsedFile {
             crate_name: crate_name.to_string(),
             rel_path: rel_path.to_string(),
             source: source.to_string(),
-            masked_chars,
-            in_test,
             toks,
+            in_test,
             matching,
             fns,
         }
+    }
+
+    /// True when the char offset `pos` — a spot *between* tokens, i.e. in
+    /// a comment — lies strictly inside a `#[cfg(test)]` item: the tokens
+    /// on both sides of it are test tokens.
+    pub fn pos_in_test(&self, pos: usize) -> bool {
+        let next = self.toks.partition_point(|t| t.pos < pos);
+        next > 0 && next < self.toks.len() && self.in_test[next - 1] && self.in_test[next]
     }
 
     /// The trimmed raw source line `line` (1-based), for excerpts.
@@ -138,6 +143,37 @@ pub fn match_delims(toks: &[Tok]) -> Vec<usize> {
         }
     }
     matching
+}
+
+/// Marks the tokens of every `#[cfg(test)]` item: from the attribute's `#`
+/// through the matching close of the first `{` that follows (further
+/// attributes and the item header are skipped over), or through the first
+/// `;` when that comes first (`#[cfg(test)] mod tests;`). An unbalanced
+/// body marks through end-of-file.
+fn test_regions(toks: &[Tok], matching: &[usize]) -> Vec<bool> {
+    const ATTR: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+    let mut in_test = vec![false; toks.len()];
+    let mut i = 0;
+    while i + ATTR.len() <= toks.len() {
+        if !toks[i..i + ATTR.len()]
+            .iter()
+            .zip(ATTR)
+            .all(|(t, a)| t.text == a)
+        {
+            i += 1;
+            continue;
+        }
+        let body =
+            (i + ATTR.len()..toks.len()).find(|&j| toks[j].is_open('{') || toks[j].is_punct(';'));
+        let end = match body {
+            Some(j) if toks[j].is_open('{') && matching[j] != NO_MATCH => matching[j] + 1,
+            Some(j) if toks[j].is_punct(';') => j + 1,
+            _ => toks.len(),
+        };
+        in_test[i..end].fill(true);
+        i = end;
+    }
+    in_test
 }
 
 /// Finds every `fn` item: the `fn` keyword token, the name, and the body
@@ -192,14 +228,13 @@ fn parse_fns(toks: &[Tok], matching: &[usize], in_test: &[bool]) -> Vec<FnItem> 
                 _ => j += 1,
             }
         }
-        let pos = toks[fn_tok].pos;
         fns.push(FnItem {
             name,
             fn_tok,
             body,
             line: toks[fn_tok].line,
             col: toks[fn_tok].col,
-            in_test: in_test.get(pos).copied().unwrap_or(false),
+            in_test: in_test[fn_tok],
         });
         i += 2;
     }
@@ -239,22 +274,6 @@ pub fn calls_in(toks: &[Tok], lo: usize, hi: usize) -> Vec<CallSite> {
         }
     }
     out
-}
-
-/// True when the token sequence `Pte :: <member>` occurs anywhere in
-/// `lo..hi` (used by the shootdown rule for `Pte::empty`).
-pub fn has_path_seq(toks: &[Tok], lo: usize, hi: usize, ty: &str, member: &str) -> bool {
-    let hi = hi.min(toks.len());
-    for i in lo..hi {
-        if toks[i].is_ident(ty)
-            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && toks.get(i + 3).is_some_and(|t| t.is_ident(member))
-        {
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -328,12 +347,5 @@ mod tests {
                 assert_eq!(p.matching[m], i);
             }
         }
-    }
-
-    #[test]
-    fn path_seq_matcher() {
-        let p = parse("fn f() { w(Pte::empty().0); }");
-        assert!(has_path_seq(&p.toks, 0, p.toks.len(), "Pte", "empty"));
-        assert!(!has_path_seq(&p.toks, 0, p.toks.len(), "Pte", "DIRTY"));
     }
 }

@@ -1,22 +1,23 @@
 //! Workspace-wide, name-based call graph over the [`crate::ast`] items.
 //!
-//! Resolution is *syntactic*: a call site `foo(..)` / `.foo(..)` edges to
-//! every non-test workspace function named `foo`. That over-approximates
-//! real dispatch (trait impls, shadowed helpers) — which is the right bias
-//! for reachability queries of the form "does this handler eventually
-//! charge the cost model": false *negatives* (a missed edge hiding a real
-//! charge) would produce noise findings, while the occasional false edge
-//! merely makes the lint a little more forgiving. The rules that need the
-//! opposite bias (shootdown-completeness) query against a closed set of
-//! blessed callee names, where the same over-approximation is harmless
-//! because the names are unique in the workspace.
+//! Resolution is *syntactic*: a call site `foo(..)` / `.foo(..)` refers to
+//! the workspace functions named `foo`. The graph answers two queries:
 //!
-//! Calls to names with no workspace definition (std, shims) are treated as
-//! leaves: they satisfy a reachability query only if the *name itself*
-//! matches the query predicate (so `ctx.charge(..)` reaches "charge" even
-//! though `SimCtx::charge` lives behind a method the parser attributes to
-//! another crate's file that is also scanned — and `ring.drain(..)` still
-//! edges into every workspace `drain`).
+//! - [`CallGraph::names_reaching`] — "which functions transitively reach a
+//!   call named `leaf`" — the closure behind every
+//!   [`crate::typestate::EventPat::CallReaching`] pattern. Propagation only
+//!   flows through *unambiguously resolved* callees (exactly one workspace
+//!   definition): ubiquitous names (`new`, `push`, `get`, `drain`) bridge
+//!   unrelated subsystems, and an edge through them would quietly satisfy
+//!   obligations that were never met.
+//! - [`CallGraph::reachable_from_entries`] — forward reachability from the
+//!   registered [`ENTRY_POINTS`], edging into *every* definition of a
+//!   callee name. Over-approximation is the right bias there: the set only
+//!   widens which `handle_*` helpers are held to the charging obligation.
+//!
+//! Calls to names with no workspace definition (std, shims) are leaves: they
+//! satisfy a query only if the *name itself* is the leaf (so `ctx.charge(..)`
+//! reaches "charge" even when `SimCtx` is not among the scanned files).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -109,68 +110,14 @@ impl CallGraph {
         self.by_name.get(name).map_or(&[], Vec::as_slice)
     }
 
-    /// True when `from` can reach a call whose *name* satisfies `target`,
-    /// walking through workspace definitions breadth-first. The start
-    /// node's own callee names are tested too, so a direct `charge(..)`
-    /// call satisfies `|n| n == "charge"` without needing a definition.
-    pub fn reaches(&self, from: NodeId, target: &dyn Fn(&str) -> bool) -> bool {
-        let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-        let mut work = vec![from];
-        seen.insert(from);
-        while let Some(id) = work.pop() {
-            for callee in &self.nodes[id].callees {
-                if target(callee) {
-                    return true;
-                }
-                for &next in self.nodes_named(callee) {
-                    if seen.insert(next) {
-                        work.push(next);
-                    }
-                }
-            }
-        }
-        false
-    }
-
     /// The set of function *names* that transitively reach a call named
-    /// `leaf` — computed as a reverse fixpoint so rules can test call sites
-    /// in O(log n). The name `leaf` itself is a member.
-    pub fn names_reaching(&self, leaf: &str, files: &[ParsedFile]) -> BTreeSet<String> {
-        // Seed: every fn whose body directly mentions a call named `leaf`.
-        let mut member: BTreeSet<String> = BTreeSet::new();
-        member.insert(leaf.to_string());
-        // Fixpoint over nodes: a fn joins when any callee name is a member.
-        // Iterate until no change; the graph is small (a few hundred fns).
-        let _ = files;
-        loop {
-            let mut changed = false;
-            for node in &self.nodes {
-                if member.contains(&node.name) {
-                    continue;
-                }
-                if node.callees.iter().any(|c| member.contains(c)) {
-                    member.insert(node.name.clone());
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        member
-    }
-
-    /// Like [`Self::names_reaching`], but propagation only flows through
-    /// *unambiguously resolved* callees: a caller joins the member set when
-    /// it calls the leaf by name, or calls a member name with exactly one
-    /// workspace definition. The permissive variant is right for
-    /// cost-coverage (a missed edge would mean noise); it is wrong for the
-    /// typestate protocols, where ubiquitous names (`new`, `push`, `get`)
-    /// bridge unrelated subsystems and would count a `guest_vmwrite` as
-    /// "reaching" a dirty-notify hook through `PmlBuffer::new`. Strict
-    /// resolution trades missed deep-indirection paths (the protocols only
-    /// need one level of helper) for no spurious state transitions.
-    pub fn names_reaching_strict(&self, leaf: &str) -> BTreeSet<String> {
+    /// `leaf`, computed as a reverse fixpoint (the graph is a few hundred
+    /// fns). The name `leaf` itself is a member. A caller joins when it
+    /// calls the leaf by name, or calls a member name with exactly one
+    /// workspace definition — see the module docs for why ambiguous names
+    /// do not propagate. The price is missed deep-indirection paths through
+    /// a shared name; the rules only need a helper level or two.
+    pub fn names_reaching(&self, leaf: &str) -> BTreeSet<String> {
         let mut member: BTreeSet<String> = BTreeSet::new();
         member.insert(leaf.to_string());
         loop {
@@ -246,10 +193,9 @@ mod tests {
              fn helper(&mut self) { self.ctx.charge(1, 2); }\n\
              fn idle(&self) { nothing(); }\n",
         )]);
-        let h = g.nodes_named("handle_x")[0];
-        assert!(g.reaches(h, &|n| n == "charge"));
-        let idle = g.nodes_named("idle")[0];
-        assert!(!g.reaches(idle, &|n| n == "charge"));
+        let charging = g.names_reaching("charge");
+        assert!(charging.contains("handle_x"), "{charging:?}");
+        assert!(!charging.contains("idle"), "{charging:?}");
     }
 
     #[test]
@@ -258,8 +204,7 @@ mod tests {
             ("guest", "fn teardown(&mut self) { self.broadcast(); }"),
             ("guest", "fn broadcast(&self) { shootdown_all(); }"),
         ]);
-        let t = g.nodes_named("teardown")[0];
-        assert!(g.reaches(t, &|n| n == "shootdown_all"));
+        assert!(g.names_reaching("shootdown_all").contains("teardown"));
     }
 
     #[test]
@@ -281,19 +226,18 @@ mod tests {
             "fn caller(&mut self) { self.r#loop(); }\n\
              fn r#loop(&mut self) { ctx.charge(1, 2); }\n",
         )]);
-        let c = g.nodes_named("caller")[0];
         assert!(g.nodes_named("r#loop").is_empty(), "names must be normalized");
         assert_eq!(g.nodes_named("loop").len(), 1);
-        assert!(g.reaches(c, &|n| n == "charge"));
+        assert!(g.names_reaching("charge").contains("caller"));
     }
 
     #[test]
     fn names_reaching_fixpoint() {
-        let (files, g) = graph(&[(
+        let (_, g) = graph(&[(
             "guest",
             "fn a() { b(); }\nfn b() { c(); }\nfn c() { ctx.charge(); }\nfn d() { puts(); }\n",
         )]);
-        let set = g.names_reaching("charge", &files);
+        let set = g.names_reaching("charge");
         for n in ["charge", "a", "b", "c"] {
             assert!(set.contains(n), "{n} missing: {set:?}");
         }
@@ -301,10 +245,10 @@ mod tests {
     }
 
     #[test]
-    fn strict_reachability_stops_at_ambiguous_names() {
+    fn reachability_stops_at_ambiguous_names() {
         // `helper` (unique) propagates; `new` (two definitions) is an
         // ambiguous bridge and must not.
-        let (files, g) = graph(&[(
+        let (files, _) = graph(&[(
             "guest",
             "fn direct(&mut self) { self.helper(); }\n\
              fn helper(&mut self) { hv.note_guest_dirty_cleared(p); }\n\
@@ -321,7 +265,7 @@ mod tests {
             "fn new() { idle(); }",
         ));
         let g2 = CallGraph::build(&files2);
-        let strict = g2.names_reaching_strict("note_guest_dirty_cleared");
+        let strict = g2.names_reaching("note_guest_dirty_cleared");
         assert!(strict.contains("direct"), "{strict:?}");
         assert!(strict.contains("helper"));
         assert!(strict.contains("new"), "a fn named `new` that calls the leaf directly still joins");
@@ -329,10 +273,6 @@ mod tests {
             !strict.contains("via_new"),
             "ambiguous `new` must not bridge: {strict:?}"
         );
-        // The permissive variant does bridge — that contrast is the point.
-        let loose = g2.names_reaching("note_guest_dirty_cleared", &files2);
-        assert!(loose.contains("via_new"));
-        let _ = g;
     }
 
     #[test]

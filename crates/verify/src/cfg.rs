@@ -13,9 +13,10 @@
 //!   as an [`Ev::Arm`] event, so protocols can transition on "entered the
 //!   `GuestBufferFull` arm";
 //! - `for`/`while`/`loop` with back edges and the zero-iteration path;
-//! - early `return` (classified error-shaped or success by payload),
-//!   `break`/`continue` against an explicit loop stack, and
-//!   `let .. else { .. }` divergent arms;
+//! - early `return` and the fall-through tail expression (each classified
+//!   error-shaped or success by [`range_err_shaped`]), `break`/`continue`
+//!   against an explicit loop stack, and `let .. else { .. }` divergent
+//!   arms;
 //! - fault-injection exemption: a branch arm whose condition (or match
 //!   pattern / guard) mentions an ident starting with `mutate_` is the
 //!   model's *seeded-mutation* arm — its blocks are marked [`Block::exempt`]
@@ -31,7 +32,6 @@
 
 use crate::ast::{calls_in, FnItem, ParsedFile, NO_MATCH};
 use crate::lexer::{Tok, TokKind};
-use crate::rules::{find_block, match_arms};
 
 /// One event inside a block, in source order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,10 +46,11 @@ pub enum Ev {
 /// How control leaves the function from a block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExitKind {
-    /// A success exit: plain `return`, `return Ok(..)`, or the implicit
-    /// fall-through at the end of the body.
+    /// A success exit: plain `return`, `return Ok(..)`, or falling off
+    /// the end of the body.
     Ok,
-    /// An error-shaped exit (`return Err(..)` / `None` / `*Invalid*`).
+    /// An error-shaped exit: `return Err(..)` / `None` / `*Invalid*`, or
+    /// falling off the end of the body on such a tail expression.
     Err,
 }
 
@@ -71,6 +72,10 @@ pub struct Block {
     pub exempt: bool,
     /// Set when control leaves the function after this block's events.
     pub exit: Option<Exit>,
+    /// True when the block ends in an error-shaped tail expression (no
+    /// terminating `;`): if it falls off the end of the function, that is
+    /// an error exit like `return Err(..)`.
+    err_tail: bool,
 }
 
 /// A per-function CFG. Block 0 is the entry.
@@ -92,23 +97,14 @@ impl Cfg {
         let entry = b.new_block(false);
         let opens = b.seq(open + 1, close, vec![entry], false);
         for id in opens {
-            b.blocks[id].exit = Some(Exit {
-                kind: ExitKind::Ok,
-                site: close,
-            });
+            let kind = if b.blocks[id].err_tail {
+                ExitKind::Err
+            } else {
+                ExitKind::Ok
+            };
+            b.blocks[id].exit = Some(Exit { kind, site: close });
         }
         Some(Cfg { blocks: b.blocks })
-    }
-
-    /// Predecessor lists, derived from [`Block::succs`].
-    pub fn preds(&self) -> Vec<Vec<usize>> {
-        let mut p = vec![Vec::new(); self.blocks.len()];
-        for (i, blk) in self.blocks.iter().enumerate() {
-            for &s in &blk.succs {
-                p[s].push(i);
-            }
-        }
-        p
     }
 }
 
@@ -270,6 +266,8 @@ impl Builder<'_> {
             }
             return Vec::new();
         }
+        let terminated = self.toks.get(hi).is_some_and(|t| t.is_punct(';'));
+        self.blocks[b].err_tail = !terminated && range_err_shaped(self.toks, lo, hi);
         vec![b]
     }
 
@@ -418,23 +416,140 @@ impl Builder<'_> {
     }
 }
 
-/// True when a `return` payload (or tail range) is error-shaped: the first
-/// meaningful ident is `Err`/`None`, or any ident mentions `Invalid`. A
-/// bare `return`/`Ok(..)` is a success.
+/// True when a `return` payload or tail expression is error-shaped: the
+/// first of `Err`/`None`/`Ok`/`Some` it mentions is `Err` or `None`, or any
+/// ident mentions `Invalid` (`Ok(HypercallResult::Invalid)` is a guard
+/// rejection, not work done — the simulator charges for work, and a
+/// rejected call's cost is the round trip its caller already accounted).
+/// A bare `return`/`Ok(..)` is a success.
 pub fn range_err_shaped(toks: &[Tok], lo: usize, hi: usize) -> bool {
-    let hi = hi.min(toks.len());
-    for t in &toks[lo..hi] {
+    let mut first = None;
+    for t in &toks[lo..hi.min(toks.len())] {
         if t.kind != TokKind::Ident {
             continue;
         }
-        if t.text == "Err" || t.text == "None" || t.text.contains("Invalid") {
+        if t.text.contains("Invalid") {
             return true;
         }
-        if t.text == "Ok" || t.text == "Some" {
-            return false;
+        if first.is_none() && matches!(t.text.as_str(), "Err" | "None" | "Ok" | "Some") {
+            first = Some(t.text == "Err" || t.text == "None");
         }
     }
-    false
+    first.unwrap_or(false)
+}
+
+/// One `match` arm: pattern and body token ranges (body excludes braces
+/// when it is a block).
+#[derive(Debug)]
+struct Arm {
+    pat_lo: usize,
+    pat_hi: usize,
+    body_lo: usize,
+    body_hi: usize,
+}
+
+/// Finds the first `{..}` block at the current nesting level starting from
+/// `from`, skipping `(..)`/`[..]` groups (so `if let Some(x) = f(y) { .. }`
+/// lands on the body, not a paren). Returns `(open, close)` token indices.
+fn find_block(
+    toks: &[Tok],
+    matching: &[usize],
+    from: usize,
+    hi: usize,
+) -> Option<(usize, usize)> {
+    let mut i = from;
+    while i < hi.min(toks.len()) {
+        match toks[i].kind {
+            TokKind::Open if toks[i].is_open('{') => {
+                let m = matching[i];
+                if m == NO_MATCH {
+                    return None;
+                }
+                return Some((i, m));
+            }
+            TokKind::Open => {
+                let m = matching[i];
+                if m == NO_MATCH {
+                    return None;
+                }
+                i = m + 1;
+            }
+            _ => i += 1,
+        }
+    }
+    None
+}
+
+/// Splits the interior of a `match` block (brace at `open`) into arms. The
+/// body of a `pat => { block }` arm is the block interior; an expression
+/// arm runs to the `,` at arm level (or the closing brace).
+fn match_arms(toks: &[Tok], matching: &[usize], open: usize) -> Vec<Arm> {
+    let close = matching[open];
+    if close == NO_MATCH {
+        return Vec::new();
+    }
+    let mut arms = Vec::new();
+    let mut i = open + 1;
+    while i < close {
+        let pat_lo = i;
+        // Scan to `=>` at arm level.
+        let mut j = i;
+        let mut found = false;
+        while j < close {
+            if toks[j].kind == TokKind::Open {
+                let m = matching[j];
+                if m == NO_MATCH || m > close {
+                    break;
+                }
+                j = m + 1;
+            } else if toks[j].is_punct('=') && toks.get(j + 1).is_some_and(|t| t.is_punct('>')) {
+                found = true;
+                break;
+            } else {
+                j += 1;
+            }
+        }
+        if !found {
+            break;
+        }
+        let pat_hi = j;
+        let mut k = j + 2;
+        let (body_lo, body_hi, next) = if k < close && toks[k].is_open('{') {
+            let m = matching[k];
+            if m == NO_MATCH || m > close {
+                break;
+            }
+            let mut n = m + 1;
+            if n < close && toks[n].is_punct(',') {
+                n += 1;
+            }
+            (k + 1, m, n)
+        } else {
+            let body_lo = k;
+            while k < close && !toks[k].is_punct(',') {
+                if toks[k].kind == TokKind::Open {
+                    let m = matching[k];
+                    if m == NO_MATCH || m > close {
+                        k = close;
+                        break;
+                    }
+                    k = m + 1;
+                } else {
+                    k += 1;
+                }
+            }
+            let body_hi = k;
+            (body_lo, body_hi, (k + 1).min(close))
+        };
+        arms.push(Arm {
+            pat_lo,
+            pat_hi,
+            body_lo,
+            body_hi,
+        });
+        i = next.max(pat_lo + 1);
+    }
+    arms
 }
 
 #[cfg(test)]
@@ -448,6 +563,10 @@ mod tests {
         let f = p.fns[0].clone();
         let c = Cfg::build(&p, &f).unwrap();
         (p, c)
+    }
+
+    fn has_pred(c: &Cfg, block: usize) -> bool {
+        c.blocks.iter().any(|b| b.succs.contains(&block))
     }
 
     fn call_names<'a>(p: &'a ParsedFile, b: &Block) -> Vec<&'a str> {
@@ -482,14 +601,12 @@ mod tests {
     fn if_without_else_keeps_fallthrough_path() {
         // Path that skips the arm must exist: entry → cond → tail.
         let (p, c) = cfg_of("if x { a(); } b();");
-        // The block holding b() must have ≥ 2 in-edges... via cond both ways.
-        let preds = c.preds();
         let b_block = c
             .blocks
             .iter()
             .position(|blk| call_names(&p, blk).contains(&"b"))
             .unwrap();
-        assert!(!preds[b_block].is_empty());
+        assert!(has_pred(&c, b_block));
         // The cond block reaches b() both through the arm and directly.
         let cond = c
             .blocks
@@ -573,22 +690,69 @@ mod tests {
     fn break_edges_to_loop_exit() {
         let (p, c) = cfg_of("loop { if done { break; } a(); } b();");
         // b() must be reachable: find it and confirm it has an in-edge.
-        let preds = c.preds();
         let b_block = c
             .blocks
             .iter()
             .position(|blk| call_names(&p, blk).contains(&"b"))
             .unwrap();
-        assert!(!preds[b_block].is_empty(), "break must reach the loop exit");
+        assert!(has_pred(&c, b_block), "break must reach the loop exit");
     }
 
     #[test]
     fn err_shape_classifier() {
-        let p = ParsedFile::parse("x", "crates/x/src/a.rs", "fn f() { return Err(Errno::EINVAL); }");
-        let r = p.toks.iter().position(|t| t.is_ident("return")).unwrap();
-        assert!(range_err_shaped(&p.toks, r + 1, p.toks.len()));
-        let p2 = ParsedFile::parse("x", "crates/x/src/a.rs", "fn f() { return Ok(()); }");
-        let r2 = p2.toks.iter().position(|t| t.is_ident("return")).unwrap();
-        assert!(!range_err_shaped(&p2.toks, r2 + 1, p2.toks.len()));
+        let shaped = |payload: &str| {
+            let p = ParsedFile::parse(
+                "x",
+                "crates/x/src/a.rs",
+                &format!("fn f() {{ return {payload}; }}"),
+            );
+            let r = p.toks.iter().position(|t| t.is_ident("return")).unwrap();
+            range_err_shaped(&p.toks, r + 1, p.toks.len())
+        };
+        assert!(shaped("Err(Errno::EINVAL)"));
+        assert!(!shaped("Ok(())"));
+        assert!(!shaped(""));
+        // The first of Err/None/Ok/Some decides: a `None` argument inside a
+        // success payload does not make the exit an error...
+        assert!(!shaped("Ok(f(None))"));
+        assert!(shaped("self.finish(None)"));
+        // ...but an `*Invalid*` variant anywhere does (guard rejection).
+        assert!(shaped("Ok(HypercallResult::Invalid)"));
+    }
+
+    #[test]
+    fn error_shaped_tail_expressions_are_error_exits() {
+        // Each arm's tail is classified on its own; `;`-terminated
+        // statements are never tails.
+        let (_, c) = cfg_of("match e { A => Err(E::X), B => { a(); Ok(()) } C => { Err(E::Y); } }");
+        let kinds: Vec<ExitKind> = c
+            .blocks
+            .iter()
+            .filter_map(|b| b.exit.map(|e| e.kind))
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![ExitKind::Err, ExitKind::Ok, ExitKind::Ok],
+            "{kinds:?}"
+        );
+    }
+
+    #[test]
+    fn match_arms_split_expr_and_block_bodies() {
+        let p = ParsedFile::parse(
+            "x",
+            "crates/x/src/a.rs",
+            "fn f() { match x { A { q } => f(q), B(z) if z > 0 => { g(); h(); } _ => i(), } }",
+        );
+        let m = p.toks.iter().position(|t| t.is_ident("match")).unwrap();
+        let open = (m..p.toks.len()).find(|&i| p.toks[i].is_open('{')).unwrap();
+        let arms = match_arms(&p.toks, &p.matching, open);
+        assert_eq!(arms.len(), 3, "{arms:?}");
+        // Pattern of the second arm includes the guard.
+        let pat: Vec<&str> = p.toks[arms[1].pat_lo..arms[1].pat_hi]
+            .iter()
+            .map(|t| t.text.as_str())
+            .collect();
+        assert!(pat.contains(&"if"), "{pat:?}");
     }
 }

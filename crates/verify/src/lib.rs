@@ -10,39 +10,37 @@
 //! run inside `cargo test -q` (see `tests/verify_lint.rs` at the workspace
 //! root) and as a standalone binary (`cargo run -p ooh-verify`).
 //!
-//! The scanner is deliberately dependency-free, built in layers (all in
-//! this crate):
+//! The scanner is deliberately dependency-free and is one pipeline, each
+//! stage a module of this crate:
 //!
-//! - [`lexer`] — a real Rust lexer producing a token stream with spans and
-//!   a masked copy of the source (comments/literals blanked, layout
-//!   preserved) in one pass; it understands raw strings, byte strings with
-//!   escapes, nested block comments, and char-literal/lifetime ambiguity;
+//! - [`lexer`] — a real Rust lexer producing a token stream with line/column
+//!   spans; it understands raw strings, byte strings with escapes, nested
+//!   block comments, and char-literal/lifetime ambiguity, so no rule can
+//!   match inside documentation or message text;
 //! - [`ast`] — a lightweight item parser: `fn` items with body token
-//!   ranges, balanced-delimiter matching, call/method/macro sites;
-//! - [`callgraph`] — a workspace-wide name-based call graph with
-//!   reachability from the registered entry points (vmexit dispatch,
-//!   hypercall table, tracker collect/drain, shootdown broadcasts);
-//! - [`rules`] — the flow rules (`cost-coverage`, `shootdown-complete`,
-//!   `ordered-iter`) on top of the graph, plus the ported token rules
-//!   below;
+//!   ranges, balanced-delimiter matching, `#[cfg(test)]` regions,
+//!   call/method/macro sites;
+//! - [`callgraph`] — a workspace-wide name-based call graph: the
+//!   reachability closure behind "this call eventually charges the cost
+//!   model", and the registered entry points (vmexit dispatch, hypercall
+//!   table, tracker collect/drain, shootdown broadcasts);
 //! - [`cfg`] — per-function control-flow graphs recovered from the token
-//!   stream (branches, loops, match arms, early returns), with
-//!   fault-injection arms (`mutate_*` conditions) marked exempt;
-//! - [`dataflow`] — a small forward/backward fixpoint framework with a
-//!   lattice join over paths;
-//! - [`typestate`] — lifecycle protocols (PML pairing, drain-before-clear,
-//!   ring overflow guards, the EPML self-IPI obligation) as state machines
-//!   over call events, checked per-path over the CFGs; findings carry a
-//!   step-by-step protocol trace;
-//! - [`cache`] — a content-hash memo of the whole-workspace report, so
-//!   warm reruns with unchanged inputs replay byte-identically without
-//!   re-analyzing;
+//!   stream (branches, loops, match arms, early returns, success vs
+//!   error-shaped exits), with fault-injection arms (`mutate_*` conditions)
+//!   marked exempt;
+//! - [`dataflow`] + [`typestate`] — a forward fixpoint with a lattice join
+//!   over paths, and the engine that runs declarative lifecycle protocols
+//!   (state machines over call events) on it; findings carry a step-by-step
+//!   protocol trace;
+//! - [`rules`] — the rule table: one entry per rule id with its metadata
+//!   and its detector — a banned token sequence, a set of protocols, or a
+//!   bespoke per-file matcher;
 //! - [`sarif`] — JSON and SARIF 2.1.0 emitters for the report (the text
 //!   form is [`Violation`]'s `Display`; traces become `codeFlows`).
 //!
 //! It is still not rustc — the goal is catching honest regressions, not
-//! adversarial obfuscation — but findings now carry file/line/column
-//! spans, rule documentation, and fix hints.
+//! adversarial obfuscation — but findings carry file/line/column spans,
+//! rule documentation, and fix hints.
 //!
 //! False positives are suppressed two ways:
 //! - an entry in `verify.allow` at the workspace root
@@ -61,7 +59,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ast;
-pub mod cache;
 pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
@@ -69,6 +66,8 @@ pub mod lexer;
 pub mod rules;
 pub mod sarif;
 pub mod typestate;
+
+pub use rules::{rule_info, RuleInfo, RULES};
 
 use ast::ParsedFile;
 use callgraph::CallGraph;
@@ -102,111 +101,6 @@ pub const GUEST_SIDE_CRATES: &[&str] = &["guest", "core", "criu", "gc", "secheap
 
 /// Crates whose non-test code must not panic on recoverable errors.
 pub const NO_PANIC_CRATES: &[&str] = &["core", "machine", "hypervisor"];
-
-/// One lint rule: its identifier (used in `verify.allow` and inline
-/// markers), a one-line summary for reports, and a fix hint attached to
-/// every finding the rule produces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuleInfo {
-    pub id: &'static str,
-    pub summary: &'static str,
-    pub help: &'static str,
-}
-
-/// Every lint rule. `cost-coverage`, `shootdown-complete`, and
-/// `ordered-iter` are the call-graph flow rules (see [`rules`]);
-/// `cost-coverage` replaces v1's token-level `arch-cost`.
-pub const RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "det-time",
-        summary: "simulator crates must not read wall-clock time (std::time::Instant/SystemTime)",
-        help: "thread the scenario's simulated clock through instead of reading host time",
-    },
-    RuleInfo {
-        id: "det-rand",
-        summary: "simulator crates must not use OS randomness (thread_rng / rand::random)",
-        help: "use the scenario's seeded PRNG so runs replay byte-identically",
-    },
-    RuleInfo {
-        id: "det-hash",
-        summary: "simulator crates must not use HashMap/HashSet (iteration order is nondeterministic); use BTreeMap/BTreeSet",
-        help: "switch the container to BTreeMap/BTreeSet, or justify a lookup-only map in verify.allow",
-    },
-    RuleInfo {
-        id: "det-par",
-        summary: "parallel maps in simulator/bench crates must merge deterministically (par_map_ordered); unordered par_iter-style reductions are banned",
-        help: "route the fan-out through rayon::par_map_ordered so merge order is input order",
-    },
-    RuleInfo {
-        id: "arch-phys",
-        summary: "guest-side crates must not touch HostPhys; physical memory is reached via the hypervisor API",
-        help: "go through the hypervisor/machine API surface; only vmx-root code may hold HostPhys",
-    },
-    RuleInfo {
-        id: "cost-coverage",
-        summary: "every handler reachable from the vmexit/hypercall/tracker entry points must charge the cost model on all success paths",
-        help: "charge the cost model (ctx.charge(lane, event)) on the uncovered path, or call a helper that does",
-    },
-    RuleInfo {
-        id: "shootdown-complete",
-        summary: "every PTE permission-downgrade/teardown site must reach a TLB shootdown, and D-bit destruction must notify the PML shadow",
-        help: "call shootdown_page/shootdown_all after the PTE write, and a note_*_dirty_cleared hook before clearing D bits",
-    },
-    RuleInfo {
-        id: "arch-panic",
-        summary: "core/machine/hypervisor non-test code must not unwrap()/expect(); return errors instead",
-        help: "propagate with `?` or map the error; panics in the simulation core abort whole experiment sweeps",
-    },
-    RuleInfo {
-        id: "ordered-iter",
-        summary: "iteration over unordered containers must not flow into output, counters, or trace emission",
-        help: "sort the keys first, rebuild through a BTreeMap/BTreeSet, or use par_map_ordered",
-    },
-    RuleInfo {
-        id: "spml-pairing",
-        summary: "every success path through the guest's sched-out must disable dirty logging (SPML DisableLogging hypercall / EPML control vmwrite)",
-        help: "make every sched-out return path reach disable_logging (or the DisableLogging hypercall / EpmlControl vmwrite); a vCPU descheduled with logging enabled leaks PML state into the next tenant",
-    },
-    RuleInfo {
-        id: "drain-before-clear",
-        summary: "PML state must be drained before it is destroyed: no GuestPmlIndex reset before the entries are copied out, and no D-bit destruction without a note_*_dirty_cleared notify on the path",
-        help: "copy the logged entries (ring push / dirty-notify) before resetting GuestPmlIndex, and pair PTE D-bit destruction with note_*_dirty_cleared so the PML shadow tracks the transition",
-    },
-    RuleInfo {
-        id: "ring-guard",
-        summary: "SPSC ring pushes must be dominated by a free-slot probe or consume the overflow result",
-        help: "check free_slots()/is_full() first, or branch on the push's boolean overflow result and count the drop",
-    },
-    RuleInfo {
-        id: "ipi-on-full",
-        summary: "the hypervisor's GuestBufferFull dispatch arm must post the EPML self-IPI before returning",
-        help: "post_interrupt(.., EPML_SELF_IPI_VECTOR) inside the GuestBufferFull arm; without the self-IPI the guest never learns its PML buffer filled",
-    },
-    RuleInfo {
-        id: "demote-before-log",
-        summary: "every huge-page demotion site must broadcast a TLB shootdown and bump the process map generation before returning",
-        help: "after demote_guest_region, reach shootdown_page/shootdown_all (other cores hold the stale 2M translation) and bump_map_generation (GPA→GVA reverse-map caches were built against the huge layout)",
-    },
-    RuleInfo {
-        id: "stale-allow",
-        summary: "every verify.allow entry and inline allow marker must still match a violation; prune dead exemptions",
-        help: "remove the dead suppression, or run `cargo run -p ooh-verify -- --prune-stale`",
-    },
-    RuleInfo {
-        id: "feature-gate",
-        summary: "debug-invariants hook bodies must stay behind cfg!(feature = \"debug-invariants\")",
-        help: "wrap the hook body in `if cfg!(feature = \"debug-invariants\") { .. }` so release builds compile it out",
-    },
-];
-
-/// The [`RuleInfo`] for `id` (`stale-allow`'s entry when unknown, which
-/// cannot happen for violations produced by this crate).
-pub fn rule_info(id: &str) -> &'static RuleInfo {
-    RULES
-        .iter()
-        .find(|r| r.id == id)
-        .unwrap_or(&RULES[RULES.len() - 2])
-}
 
 /// Debug-invariants hook sites: functions whose whole body is shadow
 /// accounting or invariant checking. Each must gate on
@@ -254,9 +148,9 @@ pub struct Violation {
     pub excerpt: String,
     /// What went wrong.
     pub message: String,
-    /// How to fix it (rule-level default, sharpened by flow rules).
+    /// How to fix it.
     pub hint: String,
-    /// Protocol trace (typestate findings only; empty otherwise): the
+    /// Protocol trace (protocol findings only; empty otherwise): the
     /// step-by-step path from function entry to the violating exit.
     pub trace: Vec<TraceStep>,
 }
@@ -419,129 +313,6 @@ pub fn prune_stale(allow_text: &str, stale_lines: &BTreeSet<usize>) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Source masking: blank out comments and string literals, preserving layout
-// ---------------------------------------------------------------------------
-
-/// Returns a copy of `src` (same char count, same newlines) where the
-/// contents of comments, string literals, and char literals are replaced by
-/// spaces. Token searches on the result cannot hit documentation or message
-/// text. This is the [`lexer`]'s masked output: line/nested-block comments,
-/// escapes (including in byte strings — a v1 blind spot), raw (byte)
-/// strings with any hash depth, and char-literal/lifetime disambiguation
-/// all come from the real lexer rather than a parallel state machine.
-pub fn mask_source(src: &str) -> String {
-    lexer::lex(src).masked
-}
-
-// ---------------------------------------------------------------------------
-// #[cfg(test)] region detection
-// ---------------------------------------------------------------------------
-
-/// Returns a per-char boolean mask over the masked source marking regions
-/// guarded by `#[cfg(test)]` (the attribute itself through the matching
-/// closing brace of the item it annotates). Token hits inside these regions
-/// are exempt from all rules.
-pub fn test_regions(masked: &str) -> Vec<bool> {
-    let chars: Vec<char> = masked.chars().collect();
-    let mut in_test = vec![false; chars.len()];
-    let needle: Vec<char> = "#[cfg(test)]".chars().collect();
-    let mut i = 0;
-    while i + needle.len() <= chars.len() {
-        if chars[i..i + needle.len()] == needle[..] {
-            let start = i;
-            let mut j = i + needle.len();
-            // Skip further attributes and whitespace to the item body. If we
-            // hit a `;` before any `{`, the item has no body (e.g. `#[cfg(test)]
-            // mod tests;`) — mark just through the `;`.
-            let mut end = None;
-            while j < chars.len() {
-                match chars[j] {
-                    '{' => {
-                        let mut depth = 0usize;
-                        while j < chars.len() {
-                            match chars[j] {
-                                '{' => depth += 1,
-                                '}' => {
-                                    depth -= 1;
-                                    if depth == 0 {
-                                        end = Some(j + 1);
-                                        break;
-                                    }
-                                }
-                                _ => {}
-                            }
-                            j += 1;
-                        }
-                        break;
-                    }
-                    ';' => {
-                        end = Some(j + 1);
-                        break;
-                    }
-                    _ => j += 1,
-                }
-            }
-            let end = end.unwrap_or(chars.len());
-            for flag in &mut in_test[start..end] {
-                *flag = true;
-            }
-            i = end;
-        } else {
-            i += 1;
-        }
-    }
-    in_test
-}
-
-// ---------------------------------------------------------------------------
-// Token search helpers
-// ---------------------------------------------------------------------------
-
-fn is_ident_char(c: char) -> bool {
-    c.is_alphanumeric() || c == '_'
-}
-
-/// Finds char offsets where `needle` occurs in `haystack` as a whole token
-/// (not embedded in a longer identifier on either side).
-fn find_tokens(haystack: &[char], needle: &str) -> Vec<usize> {
-    let nd: Vec<char> = needle.chars().collect();
-    let mut hits = Vec::new();
-    if nd.is_empty() || haystack.len() < nd.len() {
-        return hits;
-    }
-    for i in 0..=haystack.len() - nd.len() {
-        if haystack[i..i + nd.len()] != nd[..] {
-            continue;
-        }
-        let left_ok = i == 0 || !is_ident_char(haystack[i - 1]);
-        let after = i + nd.len();
-        let first = nd[0];
-        let last = nd[nd.len() - 1];
-        let right_ok = after == haystack.len()
-            || !is_ident_char(last)
-            || !is_ident_char(haystack[after]);
-        let left_ok = left_ok || !is_ident_char(first);
-        if left_ok && right_ok {
-            hits.push(i);
-        }
-    }
-    hits
-}
-
-fn line_of(chars: &[char], offset: usize) -> usize {
-    1 + chars[..offset].iter().filter(|&&c| c == '\n').count()
-}
-
-/// 1-based char column of `offset` within its line.
-fn col_of(chars: &[char], offset: usize) -> usize {
-    let line_start = chars[..offset]
-        .iter()
-        .rposition(|&c| c == '\n')
-        .map_or(0, |p| p + 1);
-    offset - line_start + 1
-}
-
-// ---------------------------------------------------------------------------
 // Per-file scan
 // ---------------------------------------------------------------------------
 
@@ -549,9 +320,9 @@ fn col_of(chars: &[char], offset: usize) -> usize {
 /// `crates/` (`"machine"`, `"sim"`, ...; the workspace-root package scans
 /// as `"ooh"`), `rel_path` is workspace-relative with forward slashes.
 /// Returns the violations after allowlist filtering, plus the count of
-/// suppressed hits. The call graph for the flow rules covers only this one
-/// file — helpers defined elsewhere look like leaves — so whole-workspace
-/// scans go through [`scan_files`]/[`run`] instead.
+/// suppressed hits. The call graph covers only this one file — helpers
+/// defined elsewhere look like leaves — so whole-workspace scans go through
+/// [`scan_files`]/[`run`] instead.
 pub fn scan_source(
     crate_name: &str,
     rel_path: &str,
@@ -572,10 +343,9 @@ pub fn scan_source(
 /// The scan pipeline over a set of `(crate_name, rel_path, source)` files:
 ///
 /// 1. lex + parse every file ([`ast::ParsedFile`]);
-/// 2. run the token rules per file on the masked source;
-/// 3. build the workspace [`CallGraph`] and run the flow rules
-///    (`cost-coverage`, `shootdown-complete`, `ordered-iter`) across all
-///    files at once — cross-file helper calls resolve here;
+/// 2. build the workspace [`CallGraph`] — cross-file helper calls resolve
+///    here;
+/// 3. run every rule's detector ([`rules::detect`]);
 /// 4. deduplicate by `(rule, path, line, col)`, filter through the allowlist and
 ///    inline markers, report stale markers, and sort by
 ///    `(path, line, rule, col)`.
@@ -584,20 +354,9 @@ pub fn scan_files(inputs: &[(String, String, String)], allow: &Allowlist) -> Rep
         .iter()
         .map(|(crate_name, rel_path, source)| ParsedFile::parse(crate_name, rel_path, source))
         .collect();
-
-    let mut raw_hits: Vec<Violation> = Vec::new();
-    for file in &parsed {
-        token_rules(file, &mut raw_hits);
-    }
     let graph = CallGraph::build(&parsed);
-    raw_hits.extend(rules::cost::check(&parsed, &graph));
-    raw_hits.extend(rules::shootdown::check(&parsed, &graph));
-    raw_hits.extend(rules::order::check(&parsed, &graph));
-    raw_hits.extend(typestate::check(&parsed, &graph));
-
-    raw_hits.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.rule, a.col).cmp(&(b.path.as_str(), b.line, b.rule, b.col))
-    });
+    let mut raw_hits = rules::detect(&parsed, &graph);
+    sort_findings(&mut raw_hits);
     raw_hits.dedup_by(|a, b| {
         a.rule == b.rule && a.path == b.path && a.line == b.line && a.col == b.col
     });
@@ -625,62 +384,47 @@ pub fn scan_files(inputs: &[(String, String, String)], allow: &Allowlist) -> Rep
         }
     }
     for file in &parsed {
-        for (line, tok) in inline_markers(&file.source, &file.in_test) {
+        for (line, tok) in inline_markers(file) {
             let used = inline_used
                 .iter()
                 .any(|(p, l, r)| p == &file.rel_path && *l == line && (tok == "all" || tok == *r));
             if !used {
-                report.violations.push(Violation {
-                    rule: "stale-allow",
-                    path: file.rel_path.clone(),
+                let message = format!(
+                    "inline marker `allow({tok})` suppresses nothing on this line; remove it"
+                );
+                report.violations.push(stale_allow(
+                    &file.rel_path,
                     line,
-                    col: 1,
-                    excerpt: file.raw_line(line),
-                    message: format!(
-                        "inline marker `allow({tok})` suppresses nothing on this line; remove it"
-                    ),
-                    hint: rule_info("stale-allow").help.to_string(),
-                    trace: Vec::new(),
-                });
+                    file.raw_line(line),
+                    message,
+                ));
             }
         }
     }
-    report.violations.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.rule, a.col).cmp(&(b.path.as_str(), b.line, b.rule, b.col))
-    });
+    sort_findings(&mut report.violations);
     report
 }
 
-/// The per-file token rules (everything that doesn't need the call graph),
-/// pushed as raw hits for [`scan_files`] to filter.
-fn token_rules(file: &ParsedFile, out: &mut Vec<Violation>) {
-    let crate_name = file.crate_name.as_str();
-    if SIM_CRATES.contains(&crate_name) {
-        token_rule(file, out, "det-time", "Instant", "wall-clock time via std::time::Instant breaks replayability");
-        token_rule(file, out, "det-time", "SystemTime", "wall-clock time via SystemTime breaks replayability");
-        token_rule(file, out, "det-rand", "thread_rng", "OS-seeded RNG; use the scenario's seeded PRNG");
-        token_rule(file, out, "det-rand", "rand::random", "OS-seeded RNG; use the scenario's seeded PRNG");
-        token_rule(file, out, "det-hash", "HashMap", "iteration order varies per process; use BTreeMap");
-        token_rule(file, out, "det-hash", "HashSet", "iteration order varies per process; use BTreeSet");
+/// A `stale-allow` finding on `line` of `path` (a source file's inline
+/// marker, or a `verify.allow` entry).
+fn stale_allow(path: &str, line: usize, excerpt: String, message: String) -> Violation {
+    Violation {
+        rule: "stale-allow",
+        path: path.to_string(),
+        line,
+        col: 1,
+        excerpt,
+        message,
+        hint: rule_info("stale-allow").help.to_string(),
+        trace: Vec::new(),
     }
-    // Deterministic parallelism: the fan-out drivers (bench binaries) and
-    // every simulation crate may only parallelize through an ordered merge
-    // (`rayon::par_map_ordered`). The rayon-style unordered iterator tokens
-    // all imply a merge order that depends on thread timing — exactly what
-    // the byte-identical-output tests cannot tolerate.
-    if SIM_CRATES.contains(&crate_name) || crate_name == "bench" {
-        token_rule(file, out, "det-par", "par_iter", "unordered parallel iteration; use rayon::par_map_ordered (deterministic ordered merge)");
-        token_rule(file, out, "det-par", "into_par_iter", "unordered parallel iteration; use rayon::par_map_ordered (deterministic ordered merge)");
-        token_rule(file, out, "det-par", "par_bridge", "unordered parallel bridge; use rayon::par_map_ordered (deterministic ordered merge)");
-    }
-    if GUEST_SIDE_CRATES.contains(&crate_name) {
-        token_rule(file, out, "arch-phys", "HostPhys", "guest-side code must go through the hypervisor API, not raw host-physical memory");
-    }
-    if NO_PANIC_CRATES.contains(&crate_name) {
-        substr_rule(file, out, "arch-panic", ".unwrap()", "propagate the error instead of panicking");
-        substr_rule(file, out, "arch-panic", ".expect(", "propagate the error instead of panicking");
-    }
-    feature_gate_rule(file, out);
+}
+
+/// The report order every output format relies on for stability.
+fn sort_findings(findings: &mut [Violation]) {
+    findings.sort_by(|a, b| {
+        (a.path.as_str(), a.line, a.rule, a.col).cmp(&(b.path.as_str(), b.line, b.rule, b.col))
+    });
 }
 
 /// Finds inline `// ooh-verify: allow(<rule>)` markers in non-test code, as
@@ -689,132 +433,28 @@ fn token_rules(file: &ParsedFile, out: &mut Vec<Violation>) {
 /// followed by a closing paren — `allow(<rule>)` placeholders in docs fail
 /// this — and the marker must sit in a line comment (a `//` earlier on the
 /// same line), so string literals that mention the syntax don't count.
-fn inline_markers(raw: &str, in_test: &[bool]) -> Vec<(usize, String)> {
-    let chars: Vec<char> = raw.chars().collect();
-    let needle: Vec<char> = "ooh-verify: allow(".chars().collect();
+fn inline_markers(file: &ParsedFile) -> Vec<(usize, String)> {
+    const NEEDLE: &str = "ooh-verify: allow(";
+    let is_rule_char = |c: char| c.is_alphanumeric() || c == '_' || c == '-';
     let mut out = Vec::new();
-    let mut i = 0;
-    while i + needle.len() <= chars.len() {
-        if chars[i..i + needle.len()] != needle[..] {
-            i += 1;
-            continue;
+    let mut pos = 0; // char offset of the current line's start
+    for (idx, line) in file.source.split('\n').enumerate() {
+        let mut from = 0;
+        while let Some(at) = line[from..].find(NEEDLE).map(|i| i + from) {
+            let rest = &line[at + NEEDLE.len()..];
+            let tok: String = rest.chars().take_while(|&c| is_rule_char(c)).collect();
+            let valid = rest[tok.len()..].starts_with(')')
+                && (tok == "all" || RULES.iter().any(|r| r.id == tok));
+            let in_comment = line[..at].contains("//");
+            let offset = pos + line[..at].chars().count();
+            if valid && in_comment && !file.pos_in_test(offset) {
+                out.push((idx + 1, tok));
+            }
+            from = at + NEEDLE.len();
         }
-        let start = i;
-        let mut j = i + needle.len();
-        let tok_start = j;
-        while j < chars.len() && (is_ident_char(chars[j]) || chars[j] == '-') {
-            j += 1;
-        }
-        let tok: String = chars[tok_start..j].iter().collect();
-        let valid = j < chars.len()
-            && chars[j] == ')'
-            && (tok == "all" || RULES.iter().any(|r| r.id == tok));
-        let line_start = chars[..start]
-            .iter()
-            .rposition(|&c| c == '\n')
-            .map_or(0, |p| p + 1);
-        let in_comment = chars[line_start..start].windows(2).any(|w| w == ['/', '/']);
-        if valid && in_comment && !in_test.get(start).copied().unwrap_or(false) {
-            out.push((line_of(&chars, start), tok));
-        }
-        i = j.max(i + 1);
+        pos += line.chars().count() + 1;
     }
     out
-}
-
-fn token_rule(
-    file: &ParsedFile,
-    out: &mut Vec<Violation>,
-    rule: &'static str,
-    needle: &str,
-    message: &str,
-) {
-    for off in find_tokens(&file.masked_chars, needle) {
-        if file.in_test[off] {
-            continue;
-        }
-        let line = line_of(&file.masked_chars, off);
-        out.push(Violation {
-            rule,
-            path: file.rel_path.clone(),
-            line,
-            col: col_of(&file.masked_chars, off),
-            excerpt: file.raw_line(line),
-            message: format!("`{needle}` in crate `{}`: {message}", file.crate_name),
-            hint: rule_info(rule).help.to_string(),
-            trace: Vec::new(),
-        });
-    }
-}
-
-/// Like [`token_rule`] but for needles that start/end with punctuation
-/// (`.unwrap()`), where token boundaries don't apply.
-fn substr_rule(
-    file: &ParsedFile,
-    out: &mut Vec<Violation>,
-    rule: &'static str,
-    needle: &str,
-    message: &str,
-) {
-    let nd: Vec<char> = needle.chars().collect();
-    let hc = &file.masked_chars;
-    if hc.len() < nd.len() {
-        return;
-    }
-    for i in 0..=hc.len() - nd.len() {
-        if hc[i..i + nd.len()] == nd[..] && !file.in_test[i] {
-            let line = line_of(hc, i);
-            out.push(Violation {
-                rule,
-                path: file.rel_path.clone(),
-                line,
-                col: col_of(hc, i),
-                excerpt: file.raw_line(line),
-                message: format!("`{needle})` in crate `{}`: {message}", file.crate_name),
-                hint: rule_info(rule).help.to_string(),
-                trace: Vec::new(),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// feature-gate: debug hook bodies must compile out of release builds
-// ---------------------------------------------------------------------------
-
-/// Every function named in [`GATED_HOOKS`] must keep its body behind
-/// `cfg!(feature = "debug-invariants")`. The check is two-part because
-/// masking blanks string literals: the body must contain a `cfg!` macro
-/// token (the gate exists) and the *raw* body text must contain the
-/// `debug-invariants` feature name (it gates on the right feature).
-fn feature_gate_rule(file: &ParsedFile, out: &mut Vec<Violation>) {
-    for f in &file.fns {
-        if f.in_test || !GATED_HOOKS.contains(&f.name.as_str()) {
-            continue;
-        }
-        let Some((open, close)) = f.body else { continue };
-        let has_cfg = file.calls_in(open + 1, close).iter().any(|c| {
-            c.kind == ast::CallKind::Macro && file.toks[c.tok].text == "cfg"
-        });
-        let lo = file.toks[open].pos;
-        let hi = file.toks[close].pos + 1;
-        let raw_body: String = file.source.chars().skip(lo).take(hi - lo).collect();
-        if !(has_cfg && raw_body.contains("debug-invariants")) {
-            out.push(Violation {
-                rule: "feature-gate",
-                path: file.rel_path.clone(),
-                line: f.line,
-                col: f.col,
-                excerpt: file.raw_line(f.line),
-                message: format!(
-                    "debug hook `{}` must gate its body behind cfg!(feature = \"debug-invariants\")",
-                    f.name
-                ),
-                hint: rule_info("feature-gate").help.to_string(),
-                trace: Vec::new(),
-            });
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -825,9 +465,8 @@ fn feature_gate_rule(file: &ParsedFile, out: &mut Vec<Violation>) {
 /// the root package and every `crates/*/src/` tree, as deterministic
 /// `(crate_name, rel_path, source)` triples. `tests/`, `benches/`, and
 /// `examples/` directories are integration-test/bench code and exempt by
-/// construction. Shared by [`run`], the [`cache`] layer, and the
-/// seeded-mutation driver tests (which swap one file's source before
-/// scanning).
+/// construction. Shared by [`run`] and the seeded-mutation driver tests
+/// (which swap one file's source before scanning).
 pub fn collect_inputs(root: &Path) -> io::Result<Vec<(String, String, String)>> {
     let mut targets: Vec<(String, PathBuf)> = vec![("ooh".to_string(), root.join("src"))];
     let crates_dir = root.join("crates");
@@ -875,20 +514,12 @@ pub fn run(root: &Path) -> io::Result<Report> {
     // all (typo'd suffix/substring), and in both cases it could silently
     // exempt a *future* regression. Fail until it is pruned.
     for (line, text) in allow.stale_entries() {
-        report.violations.push(Violation {
-            rule: "stale-allow",
-            path: "verify.allow".to_string(),
-            line,
-            col: 1,
-            excerpt: text.clone(),
-            message: format!("allow entry matches no current violation: `{text}`"),
-            hint: rule_info("stale-allow").help.to_string(),
-            trace: Vec::new(),
-        });
+        let message = format!("allow entry matches no current violation: `{text}`");
+        report
+            .violations
+            .push(stale_allow("verify.allow", line, text, message));
     }
-    report.violations.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.rule, a.col).cmp(&(b.path.as_str(), b.line, b.rule, b.col))
-    });
+    sort_findings(&mut report.violations);
     Ok(report)
 }
 
@@ -929,29 +560,11 @@ mod tests {
     }
 
     #[test]
-    fn masks_comments_and_strings() {
-        let src = "let x = \"HashMap\"; // HashMap here\n/* HashMap */ let y = 1;";
-        let m = mask_source(src);
-        assert!(!m.contains("HashMap"));
-        assert!(m.contains("let x ="));
-        assert!(m.contains("let y = 1;"));
-        assert_eq!(m.chars().filter(|&c| c == '\n').count(), 1);
-    }
-
-    #[test]
-    fn masks_raw_strings_and_char_literals() {
-        let src = r####"let s = r#"Instant "quoted" inside"#; let c = '"'; let l: &'static str = x;"####;
-        let m = mask_source(src);
-        assert!(!m.contains("Instant"));
-        assert!(!m.contains("quoted"));
-        assert!(m.contains("'static"), "lifetimes survive masking: {m}");
-    }
-
-    #[test]
-    fn nested_block_comments() {
-        let m = mask_source("/* a /* HashSet */ b */ fn f() {}");
-        assert!(!m.contains("HashSet"));
-        assert!(m.contains("fn f() {}"));
+    fn comments_and_literals_are_invisible_to_token_rules() {
+        let src = "let x = \"HashMap\"; // HashMap here\n/* a /* HashSet */ b */ let y = 1;\n";
+        assert!(scan("core", &format!("fn f() {{ {src} }}")).is_empty());
+        let src = r####"fn f() { let s = r#"Instant "quoted" inside"#; let c = '"'; let l: &'static str = x; }"####;
+        assert!(scan("sim", src).is_empty());
     }
 
     #[test]

@@ -1,85 +1,100 @@
 //! CLI entry point:
-//! `cargo run -p ooh-verify [--prune-stale] [--cache FILE] [--format text|json|sarif] [--output FILE] [workspace-root]`.
+//! `cargo run -p ooh-verify [--prune-stale] [--format text|json|sarif] [--output FILE] [workspace-root]`.
 //!
 //! The default (text) mode prints every violation and exits 1 if any are
-//! found, 0 on a clean tree — suitable for CI and pre-commit hooks, and
-//! byte-compatible with v1 output. `--format json` / `--format sarif` emit
-//! the structured report instead (to stdout, or to `--output FILE`); the
-//! exit code contract is the same in every format. `--prune-stale` rewrites
-//! `verify.allow` without the entries the `stale-allow` rule flagged, then
-//! re-scans and reports on the pruned tree. `--cache FILE` memoizes the
-//! whole-workspace report by content hash (see [`ooh_verify::cache`]):
-//! warm runs with unchanged inputs replay byte-identically without
-//! re-analyzing; cache status goes to stderr so it never perturbs the
-//! report bytes.
+//! found, 0 on a clean tree — suitable for CI and pre-commit hooks.
+//! `--format json` / `--format sarif` emit the structured report instead
+//! (to stdout, or to `--output FILE`); the exit code contract is the same
+//! in every format. `--prune-stale` rewrites `verify.allow` without the
+//! entries the `stale-allow` rule flagged, then re-scans and reports on the
+//! pruned tree. A usage error (unknown flag, missing value, second root)
+//! or a failed/empty scan exits 2.
 #![allow(clippy::print_stdout)]
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Format {
     Text,
     Json,
     Sarif,
 }
 
-fn main() -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut prune = false;
-    let mut format = Format::Text;
-    let mut output: Option<PathBuf> = None;
-    let mut cache: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
+#[derive(Debug)]
+struct Args {
+    root: Option<PathBuf>,
+    prune: bool,
+    format: Format,
+    output: Option<PathBuf>,
+}
+
+/// Parses the command line (program name already skipped). Anything that
+/// is not a known flag, a flag's value, or the one optional workspace root
+/// is an error naming the argument — a typo'd flag must not be scanned as
+/// a directory.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args {
+        root: None,
+        prune: false,
+        format: Format::Text,
+        output: None,
+    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--prune-stale" => prune = true,
-            "--cache" => {
-                let Some(path) = args.next() else {
-                    eprintln!("ooh-verify: --cache takes a file path");
-                    return ExitCode::from(2);
-                };
-                cache = Some(PathBuf::from(path));
-            }
+            "--prune-stale" => parsed.prune = true,
             "--format" => {
-                format = match args.next().as_deref() {
+                parsed.format = match args.next().as_deref() {
                     Some("text") => Format::Text,
                     Some("json") => Format::Json,
                     Some("sarif") => Format::Sarif,
                     other => {
-                        eprintln!(
-                            "ooh-verify: --format takes text|json|sarif, got {:?}",
+                        return Err(format!(
+                            "--format takes text|json|sarif, got {:?}",
                             other.unwrap_or("nothing")
-                        );
-                        return ExitCode::from(2);
+                        ))
                     }
                 };
             }
             "--output" => {
-                let Some(path) = args.next() else {
-                    eprintln!("ooh-verify: --output takes a file path");
-                    return ExitCode::from(2);
-                };
-                output = Some(PathBuf::from(path));
+                let path = args.next().ok_or("--output takes a file path")?;
+                parsed.output = Some(PathBuf::from(path));
             }
-            other => root = Some(PathBuf::from(other)),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            root => {
+                if let Some(first) = &parsed.root {
+                    return Err(format!(
+                        "unexpected argument `{root}` (workspace root already given as `{}`)",
+                        first.display()
+                    ));
+                }
+                parsed.root = Some(PathBuf::from(root));
+            }
         }
     }
+    Ok(parsed)
+}
+
+fn main() -> ExitCode {
+    let Args {
+        root,
+        prune,
+        format,
+        output,
+    } = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("ooh-verify: {e}");
+            eprintln!(
+                "usage: ooh-verify [--prune-stale] [--format text|json|sarif] [--output FILE] [workspace-root]"
+            );
+            return ExitCode::from(2);
+        }
+    };
     let root = root.unwrap_or_else(ooh_verify::workspace_root);
 
-    let scan = |note: &str| match &cache {
-        Some(path) => ooh_verify::cache::run_cached(&root, path).map(|(r, warm)| {
-            eprintln!(
-                "ooh-verify: cache {} ({}){note}",
-                if warm { "hit" } else { "miss" },
-                path.display()
-            );
-            r
-        }),
-        None => ooh_verify::run(&root),
-    };
-    let mut report = match scan("") {
+    let mut report = match ooh_verify::run(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("ooh-verify: failed to scan {}: {e}", root.display());
@@ -116,9 +131,8 @@ fn main() -> ExitCode {
                 if stale_lines.len() == 1 { "y" } else { "ies" },
                 allow_path.display()
             );
-            // Report on the tree as it now stands (the prune edited
-            // verify.allow, so a cached scan misses and refreshes).
-            report = match scan(" after prune") {
+            // Report on the tree as it now stands.
+            report = match ooh_verify::run(&root) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("ooh-verify: failed to re-scan {}: {e}", root.display());
@@ -138,7 +152,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    match format {
+    let rendered = match format {
         Format::Text => {
             let mut text = String::new();
             for v in &report.violations {
@@ -157,20 +171,13 @@ fn main() -> ExitCode {
                 }
                 text.push_str("suppress with verify.allow or `// ooh-verify: allow(<rule>)` — see crates/verify/src/lib.rs\n");
             }
-            if !emit(&text, output.as_deref()) {
-                return ExitCode::from(2);
-            }
+            text
         }
-        Format::Json => {
-            if !emit(&ooh_verify::sarif::to_json(&report), output.as_deref()) {
-                return ExitCode::from(2);
-            }
-        }
-        Format::Sarif => {
-            if !emit(&ooh_verify::sarif::to_sarif(&report), output.as_deref()) {
-                return ExitCode::from(2);
-            }
-        }
+        Format::Json => ooh_verify::sarif::to_json(&report),
+        Format::Sarif => ooh_verify::sarif::to_sarif(&report),
+    };
+    if !emit(&rendered, output.as_deref()) {
+        return ExitCode::from(2);
     }
 
     if report.is_clean() {
@@ -194,5 +201,55 @@ fn emit(text: &str, path: Option<&std::path::Path>) -> bool {
             print!("{text}");
             true
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn defaults_and_every_flag() {
+        let none = parse(&[]).unwrap();
+        assert_eq!(
+            (none.root, none.prune, none.format, none.output),
+            (None, false, Format::Text, None)
+        );
+        let all = parse(&[
+            "--prune-stale",
+            "--format",
+            "sarif",
+            "--output",
+            "o.sarif",
+            "ws",
+        ])
+        .unwrap();
+        assert_eq!(all.root, Some(PathBuf::from("ws")));
+        assert!(all.prune);
+        assert_eq!(all.format, Format::Sarif);
+        assert_eq!(all.output, Some(PathBuf::from("o.sarif")));
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_not_roots() {
+        // A typo'd flag must not scan a directory called `json`...
+        let e = parse(&["--fromat", "json"]).unwrap_err();
+        assert!(e.contains("--fromat"), "{e}");
+        // ...nor may a flag this CLI does not have scan its value.
+        let e = parse(&["--cache", "/tmp/x.cache"]).unwrap_err();
+        assert!(e.contains("--cache"), "{e}");
+    }
+
+    #[test]
+    fn a_second_root_and_missing_values_are_usage_errors() {
+        let e = parse(&["a", "b"]).unwrap_err();
+        assert!(e.contains("`b`") && e.contains("`a`"), "{e}");
+        assert!(parse(&["--format"]).unwrap_err().contains("--format"));
+        assert!(parse(&["--format", "xml"]).unwrap_err().contains("xml"));
+        assert!(parse(&["--output"]).unwrap_err().contains("--output"));
     }
 }

@@ -1,7 +1,7 @@
 //! `ordered-iter`: iteration over an unordered container must not flow
 //! into output, counters, or trace emission.
 //!
-//! This generalizes v1's `det-par` (which only policed parallel iteration
+//! This generalizes `det-par` (which only polices parallel iteration
 //! order): `HashMap`/`HashSet` iteration order varies run to run, so any
 //! value that leaves the process through a report, a counter, or a trace
 //! while driven by such an iteration makes the simulator's output
@@ -26,7 +26,6 @@
 //! iteration is order-sensitive.
 
 use crate::ast::{CallKind, ParsedFile, NO_MATCH};
-use crate::callgraph::CallGraph;
 use crate::lexer::{Tok, TokKind};
 use crate::rules::violation_at;
 use crate::Violation;
@@ -49,41 +48,37 @@ const SINK_MACROS: &[&str] = &[
     "print", "println", "eprint", "eprintln", "write", "writeln", "format", "trace", "log",
 ];
 
-pub fn check(files: &[ParsedFile], _graph: &CallGraph) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for file in files {
-        let hashy = hash_typed_names(&file.toks);
-        if hashy.is_empty() {
+pub fn check(file: &ParsedFile, out: &mut Vec<Violation>) {
+    let hashy = hash_typed_names(&file.toks);
+    if hashy.is_empty() {
+        return;
+    }
+    for f in &file.fns {
+        if f.in_test {
             continue;
         }
-        for f in &file.fns {
-            if f.in_test {
+        let Some((lo, hi)) = file.body_inner(f) else {
+            continue;
+        };
+        for site in iteration_sites(&file.toks, &file.matching, lo, hi, &hashy) {
+            let (rlo, rhi) = statement_region(&file.toks, &file.matching, site, lo, hi);
+            if has_sanitizer(&file.toks, rlo, rhi) {
                 continue;
             }
-            let Some((lo, hi)) = file.body_inner(f) else {
-                continue;
-            };
-            for site in iteration_sites(&file.toks, &file.matching, lo, hi, &hashy) {
-                let (rlo, rhi) = statement_region(&file.toks, &file.matching, site, lo, hi);
-                if has_sanitizer(&file.toks, rlo, rhi) {
-                    continue;
-                }
-                if let Some(sink) = find_sink(file, rlo, rhi) {
-                    out.push(violation_at(
-                        file,
-                        site,
-                        RULE,
-                        format!(
-                            "iteration over unordered `{}` flows into `{}` — emission order is nondeterministic",
-                            file.toks[site].text, sink
-                        ),
-                        HINT,
-                    ));
-                }
+            if let Some(sink) = find_sink(file, rlo, rhi) {
+                out.push(violation_at(
+                    file,
+                    site,
+                    RULE,
+                    format!(
+                        "iteration over unordered `{}` flows into `{}` — emission order is nondeterministic",
+                        file.toks[site].text, sink
+                    ),
+                    HINT,
+                ));
             }
         }
     }
-    out
 }
 
 /// Names declared with a `HashMap`/`HashSet` type or initializer.
@@ -293,9 +288,9 @@ mod tests {
     use super::*;
 
     fn run(src: &str) -> Vec<Violation> {
-        let files = vec![ParsedFile::parse("core", "crates/core/src/lib.rs", src)];
-        let graph = CallGraph::build(&files);
-        check(&files, &graph)
+        let mut out = Vec::new();
+        check(&ParsedFile::parse("core", "crates/core/src/lib.rs", src), &mut out);
+        out
     }
 
     #[test]

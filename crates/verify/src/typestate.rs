@@ -1,15 +1,16 @@
-//! The typestate rule engine: lifecycle protocols as state machines over
-//! call events, checked by forward dataflow over the per-function CFGs
+//! The typestate engine: lifecycle protocols as state machines over call
+//! events, checked by forward dataflow over the per-function CFGs
 //! ([`crate::cfg`], [`crate::dataflow`]).
 //!
-//! A [`Protocol`] declares states, a start state, transitions keyed by
-//! [`EventPat`] (call names, call-graph reachability, literal argument
-//! idents, match-arm patterns, and two domain-specific shapes: SPSC ring
-//! pushes and PTE D-bit destruction), and exit checks. The engine runs
-//! each protocol over every in-scope function: the powerset of protocol
+//! A [`Protocol`] declares a [`Scope`] (which functions it runs over),
+//! states (state 0 is the start), transitions keyed by [`EventPat`] (call
+//! names, call-graph reachability, literal argument idents, match-arm
+//! patterns, and two domain-specific shapes: SPSC ring pushes and PTE
+//! downgrades), and exit [`Check`]s. The engine builds each function's CFG
+//! once and runs every in-scope protocol over it: the powerset of protocol
 //! states is a `u32` bitmask, joined (unioned) over CFG paths to a
-//! fixpoint, so "some success path reaches the exit in state S" is one
-//! bit test on the exit block's out-state.
+//! fixpoint, so "some success path reaches the exit in state S" is one bit
+//! test on the exit block's out-state.
 //!
 //! Findings carry a *protocol trace*: a breadth-first search over the
 //! (block, event-position, state) product graph recovers the shortest
@@ -22,49 +23,36 @@
 //! makes them unconditional, which is exactly how the seeded-mutation
 //! cross-validation tests work (`tests/protocol_mutations.rs`).
 //!
-//! The shipped protocols mechanize the PML/TLB lifecycle choreography the
-//! paper leaves implicit (DESIGN.md §12):
-//!
-//! - `spml-pairing` — every success path through the guest's `sched_out`
-//!   must disable dirty logging (SPML `DisableLogging` hypercall, EPML
-//!   `EpmlControl` vmwrite, or anything reaching `disable_logging`);
-//! - `drain-before-clear`, index half — once `GuestPmlIndex` has been
-//!   read (a drain began), writing it back while no entry was copied or
-//!   notified loses logged pages;
-//! - `drain-before-clear`, D-bit half — a path that destroys PTE dirty
-//!   bits (`.without(DIRTY)`, `Pte::empty()`) in a phys-writing function
-//!   must also carry a `note_*_dirty_cleared` notify (the PR 5 munmap
-//!   bug as a static finding);
-//! - `ring-guard` — an SPSC ring `push` must be dominated by a free-slot
-//!   probe or consume its overflow result;
-//! - `ipi-on-full` — entering the `GuestBufferFull` dispatch arm obliges
-//!   `post_interrupt` (the EPML self-IPI) before the handler returns;
-//! - `demote-before-log` — a guest function that demotes a huge mapping
-//!   (reaches `demote_guest_region`) must both broadcast a TLB shootdown
-//!   (`shootdown_page`/`shootdown_all`) and bump the process map
-//!   generation before any success return (DESIGN.md §14).
+//! The protocols themselves are data in the rule table
+//! ([`crate::rules::RULES`]); this module knows nothing about PML or TLBs
+//! beyond the two domain-specific event shapes.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::ast::ParsedFile;
-use crate::callgraph::CallGraph;
+use crate::ast::{FnItem, ParsedFile, NO_MATCH};
+use crate::callgraph::{pattern_matches, CallGraph, ENTRY_POINTS};
 use crate::cfg::{Cfg, Ev, ExitKind};
 use crate::dataflow::forward;
-use crate::lexer::TokKind;
+use crate::lexer::{Tok, TokKind};
+use crate::rules::violation_at;
 use crate::{rule_info, TraceStep, Violation, SIM_CRATES};
 
-/// Which functions a protocol runs over (always: non-test, with a body,
-/// in one of [`Protocol::crates`]).
+/// Which functions a protocol runs over (always: non-test, with a body).
+/// Crate names are directory names under `crates/`.
 #[derive(Debug, Clone, Copy)]
 pub enum Scope {
-    /// Every function in the crate filter.
-    Any,
-    /// Only functions with one of these (normalized) names.
-    FnNamed(&'static [&'static str]),
-    /// Only functions whose body has a call whose name contains the
-    /// substring (e.g. `phys_write` — the same fn-level predicate the
-    /// shootdown rule uses to tell a PTE write-back from a value copy).
-    BodyCallContains(&'static str),
+    /// Every function of these crates.
+    Any(&'static [&'static str]),
+    /// Functions whose `(crate, name)` matches one of these pairs; a
+    /// trailing `*` in the name is a prefix wildcard.
+    FnNamed(&'static [(&'static str, &'static str)]),
+    /// Functions of these crates whose body has a call whose name contains
+    /// the substring (e.g. `phys_write` — the fn-level predicate that
+    /// tells a PTE write-back from a value copy).
+    BodyCallContains(&'static [&'static str], &'static str),
+    /// The registered [`ENTRY_POINTS`], plus every `handle_*` function of
+    /// a simulator crate reachable from them.
+    EntryHandlers,
 }
 
 /// An event pattern over CFG events.
@@ -72,8 +60,8 @@ pub enum Scope {
 pub enum EventPat {
     /// Call whose normalized name is one of these (no graph walk).
     CallNamed(&'static [&'static str]),
-    /// Call whose name is, or transitively reaches (via the workspace
-    /// call graph), a function with one of these names.
+    /// Call whose name is, or transitively reaches (via
+    /// [`CallGraph::names_reaching`]), a function with one of these names.
     CallReaching(&'static [&'static str]),
     /// Call named `names` whose argument tokens mention one of the
     /// `args` idents verbatim (e.g. `guest_vmwrite(.., Field::GuestPmlIndex, ..)`).
@@ -81,7 +69,8 @@ pub enum EventPat {
         names: &'static [&'static str],
         args: &'static [&'static str],
     },
-    /// Entry into a `match` arm whose pattern mentions this ident.
+    /// Entry into a `match` arm whose pattern mentions this ident
+    /// (constructing `Hypercall::X { .. }` in an expression is not an arm).
     ArmPattern(&'static str),
     /// `.push(..)` on a ring-named receiver (`ring` / `*_ring`),
     /// regardless of whether the overflow result is consumed.
@@ -89,9 +78,14 @@ pub enum EventPat {
     /// Same, but only when the push result is discarded and no
     /// guard keyword shapes the statement (see [`ring_push`]).
     RingPushUnchecked,
-    /// PTE D-bit/teardown destruction: `Pte::empty()` or
-    /// `.without(<flag>)` with a flag ident from this list.
-    PteDestruction { flags: &'static [&'static str] },
+    /// PTE teardown or downgrade: `Pte::empty()`, `.without(..)` naming one
+    /// of the `cleared` flag idents, or `.with(..)` naming one of the `set`
+    /// flag idents (write-protection is a downgrade even though it *adds*
+    /// a bit).
+    PteDestruction {
+        cleared: &'static [&'static str],
+        set: &'static [&'static str],
+    },
 }
 
 /// An exit obligation: flag a success exit whose state set contains
@@ -101,258 +95,111 @@ pub enum EventPat {
 pub struct Check {
     pub bad: u8,
     pub unless: Option<u8>,
-    /// Finding message; `{fn}` expands to the function name.
+    /// Judge `unless` over the union of *all* success exits instead of the
+    /// exit at hand: the obligation is "the function gets there at all",
+    /// not "every exit does". Such a finding blames the function — it
+    /// anchors at the `fn` keyword when no event put the path in `bad`.
+    pub whole_fn: bool,
+    /// Finding message; `{fn}` expands to the function name, `{arm}` to
+    /// the label of the match arm that put the path in `bad`.
     pub message: &'static str,
 }
 
-/// One lifecycle protocol. States are indices into `states` (≤ 32); the
-/// engine runs the powerset bitmask forward over each in-scope CFG.
+/// One lifecycle protocol. States are indices into `states` (≤ 32), state
+/// 0 is the start; the engine runs the powerset bitmask forward over each
+/// in-scope CFG.
 #[derive(Debug)]
 pub struct Protocol {
-    /// Rule id — must exist in [`crate::RULES`].
-    pub rule: &'static str,
     /// Short machine name distinguishing protocols that share a rule id.
     pub name: &'static str,
-    pub crates: &'static [&'static str],
     pub scope: Scope,
     pub states: &'static [&'static str],
-    pub start: u8,
     /// `(from, event, to)` — first matching transition wins; states with
     /// no matching transition are unchanged by the event.
     pub transitions: &'static [(u8, EventPat, u8)],
     pub checks: &'static [Check],
 }
 
-const NOTIFY_HOOKS: &[&str] = &[
-    "note_guest_pte_dirty_cleared",
-    "note_guest_dirty_cleared",
-    "note_hyp_dirty_cleared",
-];
+/// `CallReaching` leaf name → the names of every workspace fn from which
+/// that leaf is reachable, resolved once per scan.
+type ReachSets = BTreeMap<&'static str, BTreeSet<String>>;
 
-/// Free-slot / capacity probes that establish the ring-guard state.
-const RING_PROBES: &[&str] = &[
-    "free_slots",
-    "guest_pml_free_slots",
-    "hyp_pml_free_slots",
-    "is_full",
-    "has_space",
-];
-
-/// The shipped protocols (see module docs).
-pub const PROTOCOLS: &[Protocol] = &[
-    Protocol {
-        rule: "spml-pairing",
-        name: "sched-out-disables",
-        crates: &["guest"],
-        scope: Scope::FnNamed(&["sched_out"]),
-        states: &["enabled", "disabled"],
-        start: 0,
-        transitions: &[
-            (0, EventPat::CallReaching(&["disable_logging"]), 1),
-            (
-                0,
-                EventPat::CallWithArg {
-                    names: &["hypercall"],
-                    args: &["DisableLogging"],
-                },
-                1,
-            ),
-            (
-                0,
-                EventPat::CallWithArg {
-                    names: &["guest_vmwrite", "vmwrite"],
-                    args: &["EpmlControl"],
-                },
-                1,
-            ),
-        ],
-        checks: &[Check {
-            bad: 0,
-            unless: None,
-            message: "sched-out path leaves dirty logging enabled: `{fn}` can return without reaching DisableLogging",
-        }],
-    },
-    Protocol {
-        rule: "drain-before-clear",
-        name: "pml-index-order",
-        crates: &["guest"],
-        scope: Scope::Any,
-        states: &["idle", "armed", "drained", "cleared-early"],
-        start: 0,
-        transitions: &[
-            (
-                0,
-                EventPat::CallWithArg {
-                    names: &["guest_vmread", "vmread"],
-                    args: &["GuestPmlIndex"],
-                },
-                1,
-            ),
-            (1, EventPat::RingPushAny, 2),
-            (1, EventPat::CallReaching(NOTIFY_HOOKS), 2),
-            (
-                1,
-                EventPat::CallWithArg {
-                    names: &["guest_vmwrite", "vmwrite"],
-                    args: &["GuestPmlIndex"],
-                },
-                3,
-            ),
-        ],
-        checks: &[Check {
-            bad: 3,
-            unless: Some(2),
-            message: "`{fn}` resets GuestPmlIndex before draining: logged entries on this path are lost",
-        }],
-    },
-    Protocol {
-        rule: "drain-before-clear",
-        name: "dbit-notify",
-        crates: &["guest", "core"],
-        scope: Scope::BodyCallContains("phys_write"),
-        states: &["clean", "pending-notify", "notified"],
-        start: 0,
-        transitions: &[
-            (0, EventPat::CallReaching(NOTIFY_HOOKS), 2),
-            (0, EventPat::PteDestruction { flags: &["DIRTY"] }, 1),
-            (1, EventPat::CallReaching(NOTIFY_HOOKS), 2),
-        ],
-        checks: &[Check {
-            bad: 1,
-            unless: Some(2),
-            message: "`{fn}` destroys PTE dirty bits but no path carries a note_*_dirty_cleared notify: the PML shadow misses the transition",
-        }],
-    },
-    Protocol {
-        rule: "ring-guard",
-        name: "spsc-overflow-guard",
-        crates: SIM_CRATES,
-        scope: Scope::Any,
-        states: &["unguarded", "guarded", "overflow-risk"],
-        start: 0,
-        transitions: &[
-            (0, EventPat::CallNamed(RING_PROBES), 1),
-            (0, EventPat::RingPushUnchecked, 2),
-        ],
-        checks: &[Check {
-            bad: 2,
-            unless: None,
-            message: "unguarded ring push in `{fn}`: the overflow result is discarded and no free-slot probe dominates it",
-        }],
-    },
-    Protocol {
-        rule: "ipi-on-full",
-        name: "epml-self-ipi",
-        crates: &["hypervisor"],
-        scope: Scope::Any,
-        states: &["idle", "must-post-ipi"],
-        start: 0,
-        transitions: &[
-            (0, EventPat::ArmPattern("GuestBufferFull"), 1),
-            (1, EventPat::CallReaching(&["post_interrupt"]), 0),
-        ],
-        checks: &[Check {
-            bad: 1,
-            unless: None,
-            message: "`{fn}` enters the GuestBufferFull arm but can return without posting the EPML self-IPI (post_interrupt)",
-        }],
-    },
-    Protocol {
-        rule: "demote-before-log",
-        name: "demote-shootdown-generation",
-        crates: &["guest"],
-        scope: Scope::BodyCallContains("demote_guest_region"),
-        states: &["idle", "demoted", "shot-down", "bumped", "done"],
-        start: 0,
-        transitions: &[
-            (0, EventPat::CallReaching(&["demote_guest_region"]), 1),
-            (
-                1,
-                EventPat::CallReaching(&["shootdown_page", "shootdown_all"]),
-                2,
-            ),
-            (1, EventPat::CallReaching(&["bump_map_generation"]), 3),
-            (2, EventPat::CallReaching(&["bump_map_generation"]), 4),
-            (
-                3,
-                EventPat::CallReaching(&["shootdown_page", "shootdown_all"]),
-                4,
-            ),
-        ],
-        checks: &[
-            Check {
-                bad: 1,
-                unless: Some(4),
-                message: "`{fn}` demotes a huge mapping but can return without a TLB shootdown or a map-generation bump: other cores keep the stale 2M translation and reverse-map caches go stale",
-            },
-            Check {
-                bad: 2,
-                unless: Some(4),
-                message: "`{fn}` demotes a huge mapping and shoots the TLB down but never bumps the map generation: GPA\u{2192}GVA reverse-map caches built against the huge layout stay live",
-            },
-            Check {
-                bad: 3,
-                unless: Some(4),
-                message: "`{fn}` demotes a huge mapping and bumps the map generation but never broadcasts a shootdown: another core's TLB still translates through the replaced 2M entry",
-            },
-        ],
-    },
-];
-
-/// Runs every protocol over every in-scope function; the entry point
-/// `lib.rs` wires into the scan pipeline.
-pub fn check(files: &[ParsedFile], graph: &CallGraph) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for proto in PROTOCOLS {
-        // Resolve CallReaching sets once per protocol: the names of every
-        // workspace fn from which one of the leaves is reachable. Strict
-        // resolution only — the permissive closure bridges subsystems
-        // through ubiquitous names (see `names_reaching_strict`) and would
-        // quietly satisfy obligations that were never met.
-        let reach_sets: Vec<Option<BTreeSet<String>>> = proto
-            .transitions
-            .iter()
-            .map(|(_, pat, _)| match pat {
-                EventPat::CallReaching(leaves) => {
-                    let mut set = BTreeSet::new();
-                    for leaf in *leaves {
-                        set.extend(graph.names_reaching_strict(leaf));
-                    }
-                    Some(set)
+/// Runs every `(rule id, protocol)` pair over every in-scope function.
+pub fn check(
+    protocols: &[(&'static str, &'static Protocol)],
+    files: &[ParsedFile],
+    graph: &CallGraph,
+) -> Vec<Violation> {
+    let mut reach = ReachSets::new();
+    for (_, proto) in protocols {
+        for (_, pat, _) in proto.transitions {
+            if let EventPat::CallReaching(leaves) = pat {
+                for &leaf in *leaves {
+                    reach
+                        .entry(leaf)
+                        .or_insert_with(|| graph.names_reaching(leaf));
                 }
-                _ => None,
-            })
-            .collect();
-        for file in files {
-            if !proto.crates.contains(&file.crate_name.as_str()) {
+            }
+        }
+    }
+    let entry_handlers = entry_handlers(files, graph);
+    let mut out = Vec::new();
+    for (fi, file) in files.iter().enumerate() {
+        for (gi, f) in file.fns.iter().enumerate() {
+            if f.in_test {
                 continue;
             }
-            for f in &file.fns {
-                if f.in_test || f.body.is_none() || !in_scope(proto, file, f) {
+            // Built on the first in-scope protocol, shared by the rest.
+            let mut cfg = None;
+            for &(rule, proto) in protocols {
+                if !in_scope(proto, file, f, entry_handlers.contains(&(fi, gi))) {
                     continue;
                 }
-                let Some(cfg) = Cfg::build(file, f) else {
-                    continue;
+                let Some(cfg) = cfg.get_or_insert_with(|| Cfg::build(file, f)) else {
+                    break;
                 };
-                run_protocol(proto, &reach_sets, file, f, &cfg, &mut out);
+                run_protocol(rule, proto, &reach, file, f, cfg, &mut out);
             }
         }
     }
     out
 }
 
-fn in_scope(proto: &Protocol, file: &ParsedFile, f: &crate::ast::FnItem) -> bool {
+/// The `(file, fn)` index pairs [`Scope::EntryHandlers`] covers.
+fn entry_handlers(files: &[ParsedFile], graph: &CallGraph) -> BTreeSet<(usize, usize)> {
+    graph
+        .reachable_from_entries(files)
+        .into_iter()
+        .map(|id| &graph.nodes[id])
+        .filter(|node| {
+            let crate_name = files[node.file].crate_name.as_str();
+            ENTRY_POINTS
+                .iter()
+                .any(|(c, p)| *c == crate_name && pattern_matches(p, &node.name))
+                || (node.name.starts_with("handle_") && SIM_CRATES.contains(&crate_name))
+        })
+        .map(|node| (node.file, node.fn_idx))
+        .collect()
+}
+
+fn in_scope(proto: &Protocol, file: &ParsedFile, f: &FnItem, entry_handler: bool) -> bool {
+    let crate_name = file.crate_name.as_str();
     match proto.scope {
-        Scope::Any => true,
-        Scope::FnNamed(names) => names.contains(&f.name.as_str()),
-        Scope::BodyCallContains(sub) => {
+        Scope::Any(crates) => crates.contains(&crate_name),
+        Scope::FnNamed(pairs) => pairs
+            .iter()
+            .any(|(c, p)| *c == crate_name && pattern_matches(p, &f.name)),
+        Scope::BodyCallContains(crates, sub) => {
             let Some((lo, hi)) = file.body_inner(f) else {
                 return false;
             };
-            file.calls_in(lo, hi)
-                .iter()
-                .any(|c| file.toks[c.tok].name().contains(sub))
+            crates.contains(&crate_name)
+                && file
+                    .calls_in(lo, hi)
+                    .iter()
+                    .any(|c| file.toks[c.tok].name().contains(sub))
         }
+        Scope::EntryHandlers => entry_handler,
     }
 }
 
@@ -360,12 +207,7 @@ fn in_scope(proto: &Protocol, file: &ParsedFile, f: &crate::ast::FnItem) -> bool
 /// fixpoint's transfer function is a table walk.
 type EventTrans = Vec<Vec<Vec<(u8, u8)>>>;
 
-fn classify(
-    proto: &Protocol,
-    reach_sets: &[Option<BTreeSet<String>>],
-    file: &ParsedFile,
-    cfg: &Cfg,
-) -> EventTrans {
+fn classify(proto: &Protocol, reach: &ReachSets, file: &ParsedFile, cfg: &Cfg) -> EventTrans {
     cfg.blocks
         .iter()
         .map(|b| {
@@ -375,9 +217,8 @@ fn classify(
                     proto
                         .transitions
                         .iter()
-                        .enumerate()
-                        .filter(|(ti, (_, pat, _))| event_matches(pat, reach_sets[*ti].as_ref(), file, ev))
-                        .map(|(_, (from, _, to))| (*from, *to))
+                        .filter(|(_, pat, _)| event_matches(pat, reach, file, ev))
+                        .map(|(from, _, to)| (*from, *to))
                         .collect()
                 })
                 .collect()
@@ -385,19 +226,14 @@ fn classify(
         .collect()
 }
 
-fn event_matches(
-    pat: &EventPat,
-    reach: Option<&BTreeSet<String>>,
-    file: &ParsedFile,
-    ev: &Ev,
-) -> bool {
+fn event_matches(pat: &EventPat, reach: &ReachSets, file: &ParsedFile, ev: &Ev) -> bool {
     match (pat, ev) {
         (EventPat::CallNamed(names), Ev::Call(tok)) => {
             names.contains(&file.toks[*tok].name())
         }
-        (EventPat::CallReaching(_), Ev::Call(tok)) => {
-            reach.is_some_and(|set| set.contains(file.toks[*tok].name()))
-        }
+        (EventPat::CallReaching(leaves), Ev::Call(tok)) => leaves
+            .iter()
+            .any(|leaf| reach[leaf].contains(file.toks[*tok].name())),
         (EventPat::CallWithArg { names, args }, Ev::Call(tok)) => {
             names.contains(&file.toks[*tok].name()) && call_arg_mentions(file, *tok, args)
         }
@@ -407,7 +243,20 @@ fn event_matches(
             .any(|t| t.kind == TokKind::Ident && t.name() == *ident),
         (EventPat::RingPushAny, Ev::Call(tok)) => ring_push(file, *tok).is_some(),
         (EventPat::RingPushUnchecked, Ev::Call(tok)) => ring_push(file, *tok) == Some(false),
-        (EventPat::PteDestruction { flags }, Ev::Call(tok)) => pte_destruction(file, *tok, flags),
+        (EventPat::PteDestruction { cleared, set }, Ev::Call(tok)) => {
+            let (toks, tok) = (&file.toks, *tok);
+            match toks[tok].name() {
+                "empty" => {
+                    tok >= 3
+                        && toks[tok - 1].is_punct(':')
+                        && toks[tok - 2].is_punct(':')
+                        && toks[tok - 3].is_ident("Pte")
+                }
+                "without" => call_arg_mentions(file, tok, cleared),
+                "with" => call_arg_mentions(file, tok, set),
+                _ => false,
+            }
+        }
         _ => false,
     }
 }
@@ -419,7 +268,7 @@ fn call_arg_mentions(file: &ParsedFile, tok: usize, args: &[&str]) -> bool {
         return false;
     }
     let close = file.matching[open];
-    if close == crate::ast::NO_MATCH {
+    if close == NO_MATCH {
         return false;
     }
     file.toks[open + 1..close]
@@ -487,20 +336,18 @@ fn ring_push(file: &ParsedFile, tok: usize) -> Option<bool> {
     Some(checked)
 }
 
-/// `Pte::empty()` or `.without(<flag>)` with a matching flag ident.
-fn pte_destruction(file: &ParsedFile, tok: usize, flags: &[&str]) -> bool {
-    let toks = &file.toks;
-    let name = toks[tok].name();
-    if name == "empty" {
-        return tok >= 3
-            && toks[tok - 1].is_punct(':')
-            && toks[tok - 2].is_punct(':')
-            && toks[tok - 3].is_ident("Pte");
+/// The first token of the path a call is written through (`Pte` for
+/// `Pte::empty(..)`) — where a finding on the call anchors. Method calls
+/// and bare calls are their own head.
+fn path_head(toks: &[Tok], mut tok: usize) -> usize {
+    while tok >= 3
+        && toks[tok - 1].is_punct(':')
+        && toks[tok - 2].is_punct(':')
+        && toks[tok - 3].kind == TokKind::Ident
+    {
+        tok -= 3;
     }
-    if name == "without" {
-        return call_arg_mentions(file, tok, flags);
-    }
-    false
+    tok
 }
 
 /// Applies a block's event transitions to a state mask, in event order.
@@ -527,96 +374,99 @@ fn apply_block(mask: u32, trans: &[Vec<(u8, u8)>]) -> u32 {
 }
 
 fn run_protocol(
+    rule: &'static str,
     proto: &Protocol,
-    reach_sets: &[Option<BTreeSet<String>>],
+    reach: &ReachSets,
     file: &ParsedFile,
-    f: &crate::ast::FnItem,
+    f: &FnItem,
     cfg: &Cfg,
     out: &mut Vec<Violation>,
 ) {
-    let trans = classify(proto, reach_sets, file, cfg);
+    let trans = classify(proto, reach, file, cfg);
     // Skip functions that never produce a protocol event: the start state
     // rides through unchanged and exit checks on it would flag every
-    // unrelated function (spml-pairing scopes by name instead).
+    // unrelated function. Scopes that pick functions by name mean it: a
+    // `sched_out` or an entry handler with no event at all is the finding.
     let touches = trans.iter().flatten().any(|t| !t.is_empty());
-    let named_scope = matches!(proto.scope, Scope::FnNamed(_));
-    if !touches && !named_scope {
+    let by_name = matches!(proto.scope, Scope::FnNamed(_) | Scope::EntryHandlers);
+    if !touches && !by_name {
         return;
     }
-    let start_mask = 1u32 << proto.start;
-    let (_, outs) = forward(cfg, start_mask, |b, m| {
+    let outs = forward(cfg, 1u32, |b, m| {
         if cfg.blocks[b].exempt {
             0
         } else {
             apply_block(*m, &trans[b])
         }
     });
+    let exits: Vec<_> = cfg
+        .blocks
+        .iter()
+        .enumerate()
+        .filter_map(|(b, blk)| Some((b, blk.exit?)))
+        .filter(|(b, exit)| exit.kind == ExitKind::Ok && outs[*b] != 0)
+        .collect();
+    let joined = exits.iter().fold(0, |m, (b, _)| m | outs[*b]);
     let mut seen: BTreeSet<(usize, usize, &'static str)> = BTreeSet::new();
-    for (b, blk) in cfg.blocks.iter().enumerate() {
-        let Some(exit) = blk.exit else { continue };
-        if exit.kind != ExitKind::Ok || outs[b] == 0 {
-            continue;
-        }
+    for &(b, exit) in &exits {
         for check in proto.checks {
-            if outs[b] & (1 << check.bad) == 0 {
+            let compensated = if check.whole_fn { joined } else { outs[b] };
+            if outs[b] & (1 << check.bad) == 0
+                || check.unless.is_some_and(|u| compensated & (1 << u) != 0)
+            {
                 continue;
             }
-            if let Some(u) = check.unless {
-                if outs[b] & (1 << u) != 0 {
-                    continue;
-                }
-            }
-            let steps = trace_path(proto, cfg, &trans, b, check.bad, file, f, exit.site);
-            // Anchor at the last transition into the bad state, else at
-            // the exit site (the bad state held from entry).
-            let anchor = steps
-                .iter()
-                .rev()
-                .find(|s| s.entered_bad)
-                .map_or(exit.site, |s| s.tok);
+            let steps = trace_path(proto, cfg, &trans, b, check.bad);
+            // Anchor at the last transition into the bad state. When it
+            // held from entry, blame the `return` that leaves with it — or
+            // the function itself, for a fall-through exit (a closing
+            // brace is no place for a finding) and for whole-fn verdicts.
+            let entered = steps.iter().rev().find(|s| s.to == check.bad);
+            let anchor = match entered {
+                Some(s) => path_head(&file.toks, s.tok),
+                None if check.whole_fn || file.toks[exit.site].is_close('}') => f.fn_tok,
+                None => exit.site,
+            };
             let t = &file.toks[anchor];
             if !seen.insert((t.line, t.col, check.message)) {
                 continue;
             }
+            let arm = entered
+                .filter(|s| s.is_arm)
+                .map_or_else(String::new, |s| arm_label(file, s.tok));
+            let message = check
+                .message
+                .replace("{fn}", &f.name)
+                .replace("{arm}", &arm);
             out.push(Violation {
-                rule: proto.rule,
-                path: file.rel_path.clone(),
-                line: t.line,
-                col: t.col,
-                excerpt: file.raw_line(t.line),
-                message: check.message.replace("{fn}", &f.name),
-                hint: rule_info(proto.rule).help.to_string(),
                 trace: render_trace(proto, file, f, &steps, exit.site, check.bad),
+                ..violation_at(file, anchor, rule, message, rule_info(rule).help)
             });
         }
     }
 }
 
 /// One recovered protocol step: a state transition at `tok`.
+#[derive(Clone, Copy)]
 struct PathStep {
     tok: usize,
     from: u8,
     to: u8,
     is_arm: bool,
-    /// True when `to` is the check's bad state (anchor candidate).
-    entered_bad: bool,
 }
 
 /// Shortest entry→(exit, bad) path over the (block, event-pos, state)
 /// product graph, as the list of state transitions along it. BFS order is
 /// deterministic (block/event/state indices only). Returns an empty list
 /// when no concrete path exists (the abstraction joined facts the product
-/// walk cannot witness) — the finding then anchors at the exit.
-#[allow(clippy::too_many_arguments)]
+/// walk cannot witness) — the finding then anchors as if the bad state
+/// had held from entry.
 fn trace_path(
     proto: &Protocol,
     cfg: &Cfg,
     trans: &EventTrans,
     exit_block: usize,
     bad: u8,
-    _file: &ParsedFile,
-    _f: &crate::ast::FnItem,
-    _exit_site: usize,
 ) -> Vec<PathStep> {
     #[derive(Clone, Copy)]
     struct Node {
@@ -624,7 +474,7 @@ fn trace_path(
         pos: usize,
         state: u8,
         parent: usize,
-        cause: Option<(usize, u8, u8, bool)>, // (tok, from, to, is_arm)
+        cause: Option<PathStep>,
     }
     let n = cfg.blocks.len();
     let width = cfg.blocks.iter().map(|b| b.events.len() + 1).max().unwrap_or(1);
@@ -634,11 +484,11 @@ fn trace_path(
     let mut nodes: Vec<Node> = vec![Node {
         block: 0,
         pos: 0,
-        state: proto.start,
+        state: 0,
         parent: usize::MAX,
         cause: None,
     }];
-    visited[idx(0, 0, proto.start)] = true;
+    visited[idx(0, 0, 0)] = true;
     let mut head = 0;
     let mut found = None;
     while head < nodes.len() {
@@ -672,15 +522,17 @@ fn trace_path(
                 .map_or(cur.state, |(_, to)| *to);
             if !visited[idx(cur.block, cur.pos + 1, to)] {
                 visited[idx(cur.block, cur.pos + 1, to)] = true;
-                let cause = if to != cur.state {
-                    let (tok, is_arm) = match blk.events[cur.pos] {
-                        Ev::Call(t) => (t, false),
-                        Ev::Arm { lo, .. } => (lo, true),
-                    };
-                    Some((tok, cur.state, to, is_arm))
-                } else {
-                    None
+                let (tok, is_arm) = match blk.events[cur.pos] {
+                    Ev::Call(t) => (t, false),
+                    Ev::Arm { lo, .. } => (lo, true),
                 };
+                let from = cur.state;
+                let cause = (to != from).then_some(PathStep {
+                    tok,
+                    from,
+                    to,
+                    is_arm,
+                });
                 nodes.push(Node {
                     block: cur.block,
                     pos: cur.pos + 1,
@@ -697,15 +549,7 @@ fn trace_path(
     };
     let mut steps = Vec::new();
     while at != usize::MAX {
-        if let Some((tok, from, to, is_arm)) = nodes[at].cause {
-            steps.push(PathStep {
-                tok,
-                from,
-                to,
-                is_arm,
-                entered_bad: to == bad,
-            });
-        }
+        steps.extend(nodes[at].cause);
         at = nodes[at].parent;
     }
     steps.reverse();
@@ -715,7 +559,7 @@ fn trace_path(
 fn render_trace(
     proto: &Protocol,
     file: &ParsedFile,
-    f: &crate::ast::FnItem,
+    f: &FnItem,
     steps: &[PathStep],
     exit_site: usize,
     bad: u8,
@@ -727,7 +571,7 @@ fn render_trace(
         col: head.col,
         note: format!(
             "`{}` entered — protocol '{}' starts in state '{}'",
-            f.name, proto.name, proto.states[proto.start as usize]
+            f.name, proto.name, proto.states[0]
         ),
     });
     for s in steps {
@@ -769,128 +613,4 @@ fn arm_label(file: &ParsedFile, lo: usize) -> String {
         .map(|t| t.name().to_string())
         .collect::<Vec<_>>()
         .join("::")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::ast::ParsedFile;
-    use crate::callgraph::CallGraph;
-
-    fn scan(crate_name: &str, src: &str) -> Vec<Violation> {
-        let files = vec![ParsedFile::parse(
-            crate_name,
-            &format!("crates/{crate_name}/src/t.rs"),
-            src,
-        )];
-        let graph = CallGraph::build(&files);
-        check(&files, &graph)
-    }
-
-    fn rules_of(v: &[Violation]) -> Vec<&'static str> {
-        v.iter().map(|x| x.rule).collect()
-    }
-
-    #[test]
-    fn sched_out_without_disable_is_flagged_with_trace() {
-        let src = "impl M {\n    fn sched_out(&mut self, hv: &mut H) -> Result<(), E> {\n        if self.idle { return Ok(()); }\n        self.disable_logging(hv)\n    }\n    fn disable_logging(&mut self, hv: &mut H) -> Result<(), E> { hv.hypercall(0, Hypercall::DisableLogging, 0) }\n}\n";
-        let v = scan("guest", src);
-        assert_eq!(rules_of(&v), vec!["spml-pairing"], "{v:?}");
-        assert!(v[0].trace.len() >= 2, "trace must have entry + exit: {:?}", v[0].trace);
-        assert!(v[0].message.contains("sched_out"));
-    }
-
-    #[test]
-    fn sched_out_that_always_disables_is_clean() {
-        // Both return paths disable: the early-out disables first, the
-        // tail uses the vmwrite form — no path escapes enabled.
-        let src = "impl M {\n    fn sched_out(&mut self, hv: &mut H) -> Result<(), E> {\n        if self.idle { return self.disable_logging(hv); }\n        hv.guest_vmwrite(self.vm, 0, Field::EpmlControl, 0)?;\n        Ok(())\n    }\n    fn disable_logging(&mut self, hv: &mut H) -> Result<(), E> { hv.hypercall(0, Hypercall::DisableLogging, 0) }\n}\n";
-        assert!(scan("guest", src).is_empty());
-    }
-
-    #[test]
-    fn mutation_guarded_skip_path_is_exempt() {
-        // The production shape: the skip path only exists behind the
-        // seeded-mutation knob, so it must NOT fire.
-        let src = "impl M {\n    fn sched_out(&mut self, hv: &mut H) -> Result<(), E> {\n        if self.mutate_skip_disable_logging { return Ok(()); }\n        self.disable_logging(hv)\n    }\n    fn disable_logging(&mut self, hv: &mut H) -> Result<(), E> { hv.hypercall(0, Hypercall::DisableLogging, 0) }\n}\n";
-        assert!(scan("guest", src).is_empty());
-    }
-
-    #[test]
-    fn index_reset_before_drain_is_flagged() {
-        let src = "impl M {\n    fn drain(&mut self, hv: &mut H) -> Result<(), E> {\n        let idx = hv.guest_vmread(self.vm, 0, Field::GuestPmlIndex)?;\n        hv.guest_vmwrite(self.vm, 0, Field::GuestPmlIndex, 511)?;\n        let n = idx;\n        for k in 0..n { self.ring.push(k)?; }\n        Ok(())\n    }\n}\n";
-        let v = scan("guest", src);
-        assert!(rules_of(&v).contains(&"drain-before-clear"), "{v:?}");
-    }
-
-    #[test]
-    fn index_reset_after_drain_is_clean() {
-        let src = "impl M {\n    fn drain(&mut self, hv: &mut H) -> Result<(), E> {\n        let idx = hv.guest_vmread(self.vm, 0, Field::GuestPmlIndex)?;\n        for k in 0..idx { if !self.ring.push(k)? { self.overflow += 1; } }\n        hv.guest_vmwrite(self.vm, 0, Field::GuestPmlIndex, 511)?;\n        Ok(())\n    }\n}\n";
-        assert!(scan("guest", src).is_empty());
-    }
-
-    #[test]
-    fn dbit_destruction_without_notify_is_flagged() {
-        // The PR 5 munmap bug shape: D-bit teardown, shootdown, no notify.
-        let src = "impl K {\n    fn munmap(&mut self, hv: &mut H) -> Result<(), E> {\n        self.kernel_phys_write(hv, slot, Pte::empty().0)?;\n        Ok(())\n    }\n}\n";
-        let v = scan("guest", src);
-        assert!(rules_of(&v).contains(&"drain-before-clear"), "{v:?}");
-    }
-
-    #[test]
-    fn dbit_destruction_with_notify_before_or_after_is_clean() {
-        let before = "impl K {\n    fn munmap(&mut self, hv: &mut H) -> Result<(), E> {\n        hv.note_guest_pte_dirty_cleared(self.vm, 0, gpa);\n        self.kernel_phys_write(hv, slot, Pte::empty().0)?;\n        Ok(())\n    }\n}\n";
-        assert!(scan("guest", before).is_empty(), "notify-then-clear is the munmap design");
-        let after = "impl K {\n    fn sweep(&mut self, hv: &mut H) -> Result<(), E> {\n        self.kernel_phys_write(hv, slot, pte.without(Pte::DIRTY).0)?;\n        hv.note_guest_pte_dirty_cleared(self.vm, 0, gpa);\n        Ok(())\n    }\n}\n";
-        assert!(scan("guest", after).is_empty(), "clear-then-notify is the drain design");
-    }
-
-    #[test]
-    fn unchecked_ring_push_is_flagged_but_guarded_forms_are_clean() {
-        let bad = "fn burst(&mut self) { self.ring.push(v); }";
-        let v = scan("machine", bad);
-        assert_eq!(rules_of(&v), vec!["ring-guard"], "{v:?}");
-
-        let consumed = "fn burst(&mut self) { if !self.ring.push(v) { self.overflow += 1; } }";
-        assert!(scan("machine", consumed).is_empty());
-        let probed = "fn burst(&mut self) { if self.ring.free_slots() == 0 { return; }\n self.ring.push(v); }";
-        assert!(scan("machine", probed).is_empty());
-        let bound = "fn burst(&mut self) { let ok = self.ring.push(v); self.note(ok); }";
-        assert!(scan("machine", bound).is_empty());
-        let discarded = "fn burst(&mut self) { let _ = self.ring.push(v); }";
-        assert_eq!(rules_of(&scan("machine", discarded)), vec!["ring-guard"]);
-    }
-
-    #[test]
-    fn vec_push_is_not_a_ring_push() {
-        let src = "fn gather(&mut self) { self.out.push(1); self.string.push('c'); }";
-        assert!(scan("machine", src).is_empty());
-    }
-
-    #[test]
-    fn buffer_full_arm_must_post_interrupt() {
-        let bad = "impl H {\n    fn dispatch(&mut self, ev: PmlEvent) {\n        match ev {\n            PmlEvent::GuestBufferFull => { self.ctx.charge(1, 2); }\n            _ => {}\n        }\n    }\n}\n";
-        let v = scan("hypervisor", bad);
-        assert_eq!(rules_of(&v), vec!["ipi-on-full"], "{v:?}");
-        assert!(
-            v[0].trace.iter().any(|s| s.note.contains("GuestBufferFull")),
-            "trace must show the arm entry: {:?}",
-            v[0].trace
-        );
-
-        let good = "impl H {\n    fn dispatch(&mut self, ev: PmlEvent) {\n        match ev {\n            PmlEvent::GuestBufferFull => {\n                self.ctx.charge(1, 2);\n                v.post_interrupt(&self.ctx, 0, VEC);\n            }\n            _ => {}\n        }\n    }\n}\n";
-        assert!(scan("hypervisor", good).is_empty());
-    }
-
-    #[test]
-    fn traces_step_through_the_protocol() {
-        let src = "impl M {\n    fn drain(&mut self, hv: &mut H) -> Result<(), E> {\n        let idx = hv.guest_vmread(self.vm, 0, Field::GuestPmlIndex)?;\n        hv.guest_vmwrite(self.vm, 0, Field::GuestPmlIndex, 511)?;\n        Ok(())\n    }\n}\n";
-        let v = scan("guest", src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        let notes: Vec<&str> = v[0].trace.iter().map(|s| s.note.as_str()).collect();
-        assert!(notes[0].contains("starts in state"), "{notes:?}");
-        assert!(notes.iter().any(|n| n.contains("'idle' → 'armed'")), "{notes:?}");
-        assert!(notes.iter().any(|n| n.contains("'armed' → 'cleared-early'")), "{notes:?}");
-        assert!(notes.last().unwrap().contains("exit"), "{notes:?}");
-    }
 }
