@@ -5,7 +5,7 @@
 use ooh_core::{DirtySet, OohSession, Technique};
 use ooh_guest::{GuestError, GuestKernel, Pid};
 use ooh_hypervisor::Hypervisor;
-use ooh_machine::{MachineConfig, PAGE_SIZE};
+use ooh_machine::MachineConfig;
 use ooh_sim::{Event, SimCtx};
 use ooh_workloads::{WorkEnv, Workload};
 use serde::Serialize;
@@ -199,14 +199,5 @@ pub fn counter(run: &TrackedRun, event: Event) -> u64 {
         .iter()
         .find(|(n, _)| n == event.name())
         .map(|(_, v)| *v)
-        .unwrap_or(0)
-}
-
-/// Bytes of guest memory a process has resident (reporting helper).
-pub fn resident_bytes(stack: &Stack) -> u64 {
-    stack
-        .kernel
-        .process(stack.pid)
-        .map(|p| p.resident_pages() * PAGE_SIZE)
         .unwrap_or(0)
 }
