@@ -8,8 +8,8 @@
 //! |---|---|---|---|
 //! | [`ProcTracker`] | soft-dirty bits (`clear_refs`/`pagemap`) | PTE bits | pagemap scan (M16) + write faults (M5) |
 //! | [`UfdTracker`] | userfaultfd write-protect | fault events | userspace fault handling (M6) |
-//! | [`SpmlTracker`] | hypervisor-emulated PML (OoH software design) | GPAs | reverse mapping (M17) + hypercalls |
-//! | [`EpmlTracker`] | hardware-extended PML (OoH hardware design) | GVAs | nothing size-dependent but the ring copy (M18) |
+//! | [`PmlTracker`] (SPML) | hypervisor-emulated PML (OoH software design) | GPAs | reverse mapping (M17) + hypercalls |
+//! | [`PmlTracker`] (EPML) | hardware-extended PML (OoH hardware design) | GVAs | nothing size-dependent but the ring copy (M18) |
 //!
 //! plus [`OohSession`], the application-facing facade, and the
 //! [`revmap`] module implementing SPML's GPA→GVA resolution.
@@ -17,28 +17,26 @@
 #![forbid(unsafe_code)]
 
 pub mod dirtyset;
-pub mod epml;
 #[cfg(feature = "debug-invariants")]
 pub mod invariants;
 pub mod model_port;
+pub mod pml_tracker;
 pub mod policy;
 pub mod proc_tracker;
 pub mod revmap;
 pub mod session;
-pub mod spml;
 pub mod tracker;
 pub mod ufd_tracker;
 
 pub use dirtyset::DirtySet;
-pub use epml::EpmlTracker;
 pub use model_port::{
     technique_from_token, technique_token, ModelError, ModelPort, ModelSession, ModelViolation,
     Mutation, Scenario, Step,
 };
+pub use pml_tracker::PmlTracker;
 pub use policy::{dirty_rate_pps, ConvergencePolicy, Decision, PolicyState};
 pub use proc_tracker::ProcTracker;
 pub use session::OohSession;
-pub use spml::SpmlTracker;
 pub use tracker::{make_tracker, DirtyPageTracker, TrackEnv, Technique};
 pub use ufd_tracker::UfdTracker;
 
@@ -47,7 +45,7 @@ mod tests {
     use super::*;
     use ooh_guest::{GuestKernel, Pid, VmaKind};
     use ooh_hypervisor::Hypervisor;
-    use ooh_machine::{Gva, GvaRange, MachineConfig, PAGE_SIZE};
+    use ooh_machine::{GvaRange, MachineConfig, PAGE_SIZE};
     use ooh_sim::{Lane, SimCtx};
 
     struct Rig {
@@ -254,26 +252,33 @@ mod tests {
         assert!(r.is_err(), "EPML on stock hardware must fail");
     }
 
-    /// SPML's ring carries GPAs that reverse-map correctly even after the
-    /// tracked region grows mid-session.
+    /// A VMA mapped mid-round is tracked from that round on: every technique
+    /// reports a demand-zero write into it. The PML trackers re-read the
+    /// VMA list on collect; ufd never saw the VMA at `begin_round`, so it
+    /// reports the VMA's resident pages through the conservative scan.
     #[test]
-    fn spml_handles_region_growth() {
-        let mut rig = boot(8);
-        let mut session =
-            OohSession::start(&mut rig.hv, &mut rig.kernel, rig.pid, Technique::Spml).unwrap();
-        write_pages(&mut rig, &[1]);
-        let r1 = session.fetch_dirty(&mut rig.hv, &mut rig.kernel).unwrap();
-        assert_eq!(r1.len(), 1);
-        // Fault in a brand-new page mid-session: demand-zero write.
-        let extra = rig.kernel.mmap(rig.pid, 2, true, VmaKind::Anon).unwrap();
-        rig.kernel
-            .write_u64(&mut rig.hv, rig.pid, extra.start, 42, Lane::Tracked)
-            .unwrap();
-        let r2 = session.fetch_dirty(&mut rig.hv, &mut rig.kernel).unwrap();
-        // The new page is dirty but lies outside the region registered at
-        // init — SPML filters to the registered VMAs, like the paper's
-        // per-process ring registration.
-        assert!(r2.is_empty() || r2.contains(Gva(extra.start.raw())));
-        session.stop(&mut rig.hv, &mut rig.kernel).unwrap();
+    fn every_technique_handles_region_growth() {
+        let mut missed = Vec::new();
+        for technique in Technique::ALL {
+            let mut rig = boot(8);
+            let mut session =
+                OohSession::start(&mut rig.hv, &mut rig.kernel, rig.pid, technique).unwrap();
+            write_pages(&mut rig, &[1]);
+            let r1 = session.fetch_dirty(&mut rig.hv, &mut rig.kernel).unwrap();
+            assert_eq!(r1, expected(&rig, &[1]), "{}", technique.name());
+            let extra = rig.kernel.mmap(rig.pid, 2, true, VmaKind::Anon).unwrap();
+            rig.kernel
+                .write_u64(&mut rig.hv, rig.pid, extra.start, 42, Lane::Tracked)
+                .unwrap();
+            let r2 = session.fetch_dirty(&mut rig.hv, &mut rig.kernel).unwrap();
+            if !r2.contains(extra.start) {
+                missed.push(technique.name());
+            }
+            // From the next round on the new VMA is tracked like any other.
+            let r3 = session.fetch_dirty(&mut rig.hv, &mut rig.kernel).unwrap();
+            assert!(r3.is_empty(), "{}: {:?}", technique.name(), r3);
+            session.stop(&mut rig.hv, &mut rig.kernel).unwrap();
+        }
+        assert!(missed.is_empty(), "write into a VMA mapped mid-round lost by {missed:?}");
     }
 }

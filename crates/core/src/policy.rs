@@ -1,10 +1,11 @@
 //! Convergence/throttling policy for pre-copy loops.
 //!
-//! Every pre-copy consumer in the workspace — the hypervisor's
-//! whole-VM [`PreCopyMigration`](../../hypervisor) loop and the
-//! CRIU-chain fleet scheduler in `ooh-bench` — faces the same control
-//! problem: a guest that dirties pages faster than the copy channel can
-//! ship them never converges, and an unbounded loop just burns rounds.
+//! The CRIU-chain fleet scheduler in `ooh-bench` drives this policy over
+//! each VM's pre-copy rounds. (The hypervisor's whole-VM
+//! `PreCopyMigration` loop keeps only its built-in threshold and round
+//! cap.) The control problem: a guest that dirties pages faster than the
+//! copy channel can ship them never converges, and an unbounded loop just
+//! burns rounds.
 //! The standard datacenter answer (Xen, QEMU auto-converge, Firecracker)
 //! is a three-state policy:
 //!

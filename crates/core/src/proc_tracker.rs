@@ -11,17 +11,11 @@ use ooh_guest::GuestError;
 use ooh_sim::Lane;
 
 #[derive(Debug, Default)]
-pub struct ProcTracker {
-    rounds: u64,
-}
+pub struct ProcTracker;
 
 impl ProcTracker {
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn rounds(&self) -> u64 {
-        self.rounds
+        Self
     }
 }
 
@@ -37,7 +31,6 @@ impl DirtyPageTracker for ProcTracker {
 
     fn begin_round(&mut self, env: &mut TrackEnv<'_>) -> Result<(), GuestError> {
         env.kernel.clear_refs(env.hv, env.pid, Lane::Tracker)?;
-        self.rounds += 1;
         Ok(())
     }
 

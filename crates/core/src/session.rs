@@ -15,7 +15,6 @@ pub struct OohSession {
     pid: Pid,
     tracker: Box<dyn DirtyPageTracker>,
     rounds: u64,
-    active: bool,
 }
 
 impl OohSession {
@@ -39,7 +38,6 @@ impl OohSession {
             pid,
             tracker,
             rounds: 0,
-            active: true,
         })
     }
 
@@ -69,7 +67,6 @@ impl OohSession {
         hv: &mut Hypervisor,
         kernel: &mut GuestKernel,
     ) -> Result<DirtySet, GuestError> {
-        assert!(self.active, "session already stopped");
         let ctx = hv.ctx.clone();
         let _technique = ctx.span(ScopeKind::Technique, self.tracker.technique().name(), 0);
         let _process = ctx.span(ScopeKind::Process, "pid", u64::from(self.pid.0));
@@ -87,7 +84,6 @@ impl OohSession {
         hv: &mut Hypervisor,
         kernel: &mut GuestKernel,
     ) -> Result<(), GuestError> {
-        self.active = false;
         let ctx = hv.ctx.clone();
         let _technique = ctx.span(ScopeKind::Technique, self.tracker.technique().name(), 0);
         let _process = ctx.span(ScopeKind::Process, "pid", u64::from(self.pid.0));

@@ -8,8 +8,9 @@
 //! (phase 4 — CRIU writes pages, the GC re-marks them).
 
 use crate::dirtyset::DirtySet;
-use ooh_guest::{GuestError, GuestKernel, Pid};
+use ooh_guest::{GuestError, GuestKernel, OohMode, Pid};
 use ooh_hypervisor::Hypervisor;
+use ooh_machine::GvaRange;
 use serde::Serialize;
 
 /// The four techniques the paper compares.
@@ -36,11 +37,6 @@ impl Technique {
             Technique::Spml => "SPML",
             Technique::Epml => "EPML",
         }
-    }
-
-    /// Does this technique require the EPML hardware extension?
-    pub fn needs_epml_hw(self) -> bool {
-        self == Technique::Epml
     }
 }
 
@@ -88,9 +84,43 @@ pub fn make_tracker(technique: Technique) -> Box<dyn DirtyPageTracker> {
     match technique {
         Technique::Proc => Box::new(crate::proc_tracker::ProcTracker::new()),
         Technique::Ufd => Box::new(crate::ufd_tracker::UfdTracker::new()),
-        Technique::Spml => Box::new(crate::spml::SpmlTracker::new()),
-        Technique::Epml => Box::new(crate::epml::EpmlTracker::new()),
+        Technique::Spml => Box::new(crate::pml_tracker::PmlTracker::new(OohMode::Spml)),
+        Technique::Epml => Box::new(crate::pml_tracker::PmlTracker::new(OohMode::Epml)),
     }
+}
+
+/// The monitored process's writable VMAs, as a tracker re-reading
+/// `/proc/PID/maps` sees them now.
+pub(crate) fn writable_ranges(env: &TrackEnv<'_>) -> Result<Vec<GvaRange>, GuestError> {
+    Ok(env
+        .kernel
+        .vmas(env.pid)?
+        .iter()
+        .filter(|v| v.writable)
+        .map(|v| v.range)
+        .collect())
+}
+
+/// The conservative answer when a tracker cannot know what was written in
+/// `ranges` (lost ring entries, a VMA it never armed): every resident page
+/// may be dirty. The library pays a full pagemap walk (M16) for it, like
+/// any address-space scan.
+pub(crate) fn conservative_full_scan(
+    env: &mut TrackEnv<'_>,
+    ranges: &[GvaRange],
+) -> Result<DirtySet, GuestError> {
+    let mut set = DirtySet::new();
+    for range in ranges {
+        for e in env
+            .kernel
+            .read_pagemap(env.hv, env.pid, *range, ooh_sim::Lane::Tracker)?
+        {
+            if e.present {
+                set.insert(e.gva);
+            }
+        }
+    }
+    Ok(set)
 }
 
 #[cfg(test)]
@@ -101,8 +131,6 @@ mod tests {
     fn technique_names() {
         assert_eq!(Technique::Proc.name(), "/proc");
         assert_eq!(Technique::Epml.name(), "EPML");
-        assert!(Technique::Epml.needs_epml_hw());
-        assert!(!Technique::Spml.needs_epml_hw());
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! starting a new round re-protects the pages that were dirtied.
 
 use crate::dirtyset::DirtySet;
-use crate::tracker::{DirtyPageTracker, TrackEnv, Technique};
+use crate::tracker::{
+    conservative_full_scan, writable_ranges, DirtyPageTracker, Technique, TrackEnv,
+};
 use ooh_guest::{GuestError, UfdId, UfdMode};
 use ooh_machine::GvaRange;
 
@@ -58,13 +60,7 @@ impl DirtyPageTracker for UfdTracker {
         // Register VMAs that appeared since the last round (the paper's
         // trackers call UFFDIO_REGISTER as the monitored region grows),
         // then re-protect the whole region.
-        let current: Vec<GvaRange> = env
-            .kernel
-            .vmas(env.pid)?
-            .iter()
-            .filter(|v| v.writable)
-            .map(|v| v.range)
-            .collect();
+        let current = writable_ranges(env)?;
         for range in &current {
             if !self.registered.contains(range) {
                 env.kernel.ufd_register(env.hv, id, *range);
@@ -84,14 +80,17 @@ impl DirtyPageTracker for UfdTracker {
         // events for a range unmapped mid-round describe translations that
         // no longer exist, and the pagemap- and PML-based collectors all
         // drop such pages too.
-        let live: Vec<GvaRange> = env
-            .kernel
-            .vmas(env.pid)?
-            .iter()
-            .filter(|v| v.writable)
-            .map(|v| v.range)
-            .collect();
+        let live = writable_ranges(env)?;
         out.retain_within(&live);
+        // A VMA mapped since `begin_round` was never registered or
+        // write-protected, so writes into it raised no events: report its
+        // resident pages wholesale, as CRIU dumps a VMA that appeared
+        // between pre-dumps in full.
+        let unarmed: Vec<GvaRange> = live
+            .into_iter()
+            .filter(|r| !self.registered.contains(r))
+            .collect();
+        out.merge(&conservative_full_scan(env, &unarmed)?);
         Ok(out)
     }
 

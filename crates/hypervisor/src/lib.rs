@@ -26,7 +26,7 @@ pub mod wss;
 
 pub use hypercall::{Hypercall, HypercallResult};
 pub use hypervisor::{GuestAccess, Hypervisor};
-pub use migration::{MigrationConfig, MigrationReport, PreCopyMigration, RoundControl, RoundStats};
+pub use migration::{MigrationConfig, MigrationReport, PreCopyMigration, RoundStats};
 pub use vm::{SpmlState, Vm, VmId};
 pub use wss::{WssEstimator, WssSample};
 
@@ -152,80 +152,6 @@ mod tests {
         let report = mig.finalize(&mut h).unwrap();
         assert!(report.converged);
         assert_eq!(report.downtime_pages, 0);
-    }
-
-    #[test]
-    fn run_with_control_throttles_a_hot_writer_to_convergence() {
-        use ooh_machine::{EptEntry, Gpa};
-        let mut h = hv(false);
-        let vm = h.create_vm(1024 * PAGE_SIZE, 1).unwrap();
-        let mut gpas = Vec::new();
-        for _ in 0..200 {
-            gpas.push(h.alloc_guest_page(vm).unwrap());
-        }
-        let config = MigrationConfig {
-            page_copy_ns: 1_000,
-            stop_threshold_pages: 8,
-            max_rounds: 10,
-        };
-        let mig = PreCopyMigration::start(&mut h, vm, config);
-        let report = mig
-            .run_with_control(
-                &mut h,
-                |h, throttle_level| {
-                    // An auto-converge-style writer: each throttle step
-                    // halves its per-round dirtying. The guest runs for a
-                    // quantum of virtual time, so dirty rates are finite.
-                    h.ctx.advance(ooh_sim::Lane::Tracked, 1_000_000);
-                    let n = 64usize >> throttle_level.min(4);
-                    let (vmref, phys) = h.vm_and_phys_mut(vm);
-                    for g in gpas.iter().take(n) {
-                        let (slot, e) = vmref.ept.lookup(phys, *g).unwrap().unwrap();
-                        phys.write_u64(slot, e.with(EptEntry::DIRTY).0).unwrap();
-                    }
-                    let dirty: Vec<Gpa> = vmref.ept.collect_dirty(phys).unwrap();
-                    for g in &dirty {
-                        vmref.hyp_dirty.insert(g.page());
-                    }
-                    vmref.ept.clear_all_dirty(phys).unwrap();
-                    Ok(())
-                },
-                |stats| {
-                    if stats.pages_sent > 8 {
-                        RoundControl::Throttle
-                    } else {
-                        RoundControl::Continue
-                    }
-                },
-            )
-            .unwrap();
-        assert!(report.converged, "throttling must force convergence");
-        assert_eq!(report.throttled_rounds, 3, "rounds at 32/16/8 pages ran throttled");
-        // 64 → 32 → 16 → 8 pages: the halving shows up in the round log.
-        let sent: Vec<u64> = report.rounds.iter().map(|r| r.pages_sent).collect();
-        assert_eq!(&sent[1..5], &[64, 32, 16, 8]);
-        // Guest intervals are observable, so dirty rates are computable.
-        assert!(report.rounds[1].interval_ns > 0);
-        assert!(report.rounds[1].dirty_pps() > 0);
-    }
-
-    #[test]
-    fn run_with_control_stop_cuts_precopy_short() {
-        let mut h = hv(false);
-        let vm = h.create_vm(1024 * PAGE_SIZE, 1).unwrap();
-        for _ in 0..100 {
-            h.alloc_guest_page(vm).unwrap();
-        }
-        let mig = PreCopyMigration::start(&mut h, vm, MigrationConfig::default());
-        let report = mig
-            .run_with_control(&mut h, |_, _| Ok(()), |_| RoundControl::Stop)
-            .unwrap();
-        // Quiescent guest: round 1 is empty, which converges before the
-        // controller is even consulted — Stop is the backstop for hot
-        // guests, exercised by making round 1 non-empty elsewhere. Here we
-        // just pin the shape: full copy + one drain, nothing throttled.
-        assert_eq!(report.throttled_rounds, 0);
-        assert!(report.rounds.len() <= 3);
     }
 
     #[test]

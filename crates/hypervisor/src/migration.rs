@@ -45,41 +45,6 @@ pub struct RoundStats {
     pub pages_sent: u64,
     /// Virtual time spent copying this round's pages.
     pub ns: u64,
-    /// Virtual time the guest ran between the previous drain and this one —
-    /// the denominator of the dirty rate. Round 0 (the initial full copy)
-    /// has no preceding drain and reports 0.
-    pub interval_ns: u64,
-}
-
-impl RoundStats {
-    /// Dirty rate observed this round, in pages per virtual second. A zero
-    /// interval with dirty pages counts as unbounded (the guest out-dirtied
-    /// an instantaneous drain).
-    pub fn dirty_pps(&self) -> u64 {
-        if self.interval_ns == 0 {
-            return if self.pages_sent == 0 { 0 } else { u64::MAX };
-        }
-        u128::from(self.pages_sent)
-            .saturating_mul(1_000_000_000)
-            .checked_div(u128::from(self.interval_ns))
-            .map_or(u64::MAX, |r| u64::try_from(r).unwrap_or(u64::MAX))
-    }
-}
-
-/// What an external convergence controller tells the pre-copy loop to do
-/// after seeing a round's stats. The hypervisor deliberately carries no
-/// policy of its own beyond the built-in threshold/round-cap — richer
-/// policies (`ooh_core::ConvergencePolicy`) live above it and drive the
-/// loop through [`PreCopyMigration::run_with_control`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoundControl {
-    /// Run another pre-copy round.
-    Continue,
-    /// Run another round, but the controller has throttled the writer
-    /// (the between-rounds callback sees the raised throttle level).
-    Throttle,
-    /// Give up on pre-copy now: pause and stop-and-copy.
-    Stop,
 }
 
 /// Final report.
@@ -90,11 +55,6 @@ pub struct MigrationReport {
     pub downtime_pages: u64,
     pub total_ns: u64,
     pub converged: bool,
-    /// Rounds that ran with a controller-imposed writer throttle in force
-    /// (always 0 under the policy-free [`run_to_completion`] driver).
-    ///
-    /// [`run_to_completion`]: PreCopyMigration::run_to_completion
-    pub throttled_rounds: u32,
 }
 
 /// Driver object for one in-flight migration.
@@ -103,10 +63,6 @@ pub struct PreCopyMigration {
     vm: VmId,
     config: MigrationConfig,
     rounds: Vec<RoundStats>,
-    /// Virtual instant the previous round's copy finished (dirty-rate
-    /// denominator for the next round).
-    last_drain_ns: u64,
-    throttled_rounds: u32,
 }
 
 impl PreCopyMigration {
@@ -123,8 +79,6 @@ impl PreCopyMigration {
             vm,
             config,
             rounds: Vec::new(),
-            last_drain_ns: hv.ctx.now_ns(),
-            throttled_rounds: 0,
         };
         // Round 0: everything currently allocated.
         let pages = hv.vm(vm).allocated_pages();
@@ -133,12 +87,6 @@ impl PreCopyMigration {
     }
 
     fn record_round(&mut self, hv: &Hypervisor, pages: u64) {
-        // Guest-run time since the previous drain; round 0 has none.
-        let interval_ns = if self.rounds.is_empty() {
-            0
-        } else {
-            hv.ctx.now_ns() - self.last_drain_ns
-        };
         let ns = pages * self.config.page_copy_ns;
         if pages > 0 {
             // Counted per page so cost-coverage and the fleet's per-VM
@@ -146,7 +94,6 @@ impl PreCopyMigration {
             hv.ctx
                 .charge_n_ns(Lane::Hypervisor, Event::MigrationPageCopy, pages, ns);
         }
-        self.last_drain_ns = hv.ctx.now_ns();
         // The round counter is architectural (it lands in serialized
         // reports), so it is wide enough to never truncate — the old
         // `as u32` would have wrapped silently.
@@ -154,7 +101,6 @@ impl PreCopyMigration {
             round: self.rounds.len() as u64,
             pages_sent: pages,
             ns,
-            interval_ns,
         });
     }
 
@@ -175,11 +121,6 @@ impl PreCopyMigration {
         };
         self.record_round(hv, pages);
         Ok(pages)
-    }
-
-    /// Stats of the most recent round (round 0 exists from `start`).
-    pub fn last_round(&self) -> Option<&RoundStats> {
-        self.rounds.last()
     }
 
     /// Should we give up on convergence (dirty rate too high)?
@@ -228,7 +169,6 @@ impl PreCopyMigration {
             total_pages_sent,
             total_ns,
             converged,
-            throttled_rounds: self.throttled_rounds,
             rounds: self.rounds,
         })
     }
@@ -244,45 +184,6 @@ impl PreCopyMigration {
             let sent = self.round(hv)?;
             if self.converged(sent) || self.rounds_exhausted() {
                 return self.finalize(hv);
-            }
-        }
-    }
-
-    /// Run the loop under an external convergence controller.
-    ///
-    /// After each round, `control` sees the round's [`RoundStats`] (pages,
-    /// copy time, guest interval — enough to compute the dirty rate) and
-    /// answers with a [`RoundControl`]. `between_rounds` runs the guest
-    /// writer before each round and receives the current throttle level
-    /// (0 = unthrottled; each [`RoundControl::Throttle`] raises it by one) —
-    /// the conventional auto-converge contract: the controller decides,
-    /// the driver slows the writer.
-    ///
-    /// The built-in threshold and round cap still apply as backstops, so a
-    /// buggy controller cannot spin the loop forever.
-    pub fn run_with_control(
-        mut self,
-        hv: &mut Hypervisor,
-        mut between_rounds: impl FnMut(&mut Hypervisor, u32) -> Result<(), MachineError>,
-        mut control: impl FnMut(&RoundStats) -> RoundControl,
-    ) -> Result<MigrationReport, MachineError> {
-        let mut throttle_level = 0u32;
-        loop {
-            between_rounds(hv, throttle_level)?;
-            let sent = self.round(hv)?;
-            if throttle_level > 0 {
-                self.throttled_rounds += 1;
-            }
-            if self.converged(sent) || self.rounds_exhausted() {
-                return self.finalize(hv);
-            }
-            // Round 0 is recorded in `start`, so the log is never empty here.
-            if let Some(stats) = self.last_round() {
-                match control(stats) {
-                    RoundControl::Continue => {}
-                    RoundControl::Throttle => throttle_level += 1,
-                    RoundControl::Stop => return self.finalize(hv),
-                }
             }
         }
     }

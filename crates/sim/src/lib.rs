@@ -51,7 +51,6 @@ struct SimCtxInner {
     /// Installed trace sink, if any. `OnceLock` keeps the disabled path to a
     /// single relaxed load, and install-once matches the determinism
     /// contract (a sink appearing mid-run would see a partial timeline).
-    #[cfg(feature = "trace")]
     tracer: std::sync::OnceLock<Arc<dyn TraceSink>>,
 }
 
@@ -69,7 +68,6 @@ impl SimCtx {
                 clock: SimClock::new(),
                 counters: EventCounters::new(),
                 cost,
-                #[cfg(feature = "trace")]
                 tracer: std::sync::OnceLock::new(),
             }),
         }
@@ -79,21 +77,18 @@ impl SimCtx {
     /// [`TraceRecord`]. Returns `false` if a sink was already installed (the
     /// existing one stays). Install *before* the first charge if the sink is
     /// to account for the full timeline (conservation checks require this).
-    #[cfg(feature = "trace")]
     pub fn install_tracer(&self, sink: Arc<dyn TraceSink>) -> bool {
         self.inner.tracer.set(sink).is_ok()
     }
 
     /// The installed trace sink, if any.
-    #[cfg(feature = "trace")]
     pub(crate) fn trace_sink(&self) -> Option<&Arc<dyn TraceSink>> {
         self.inner.tracer.get()
     }
 
     /// Open a trace scope (technique / phase / op / process / vcpu) that
-    /// closes when the returned guard drops. Inert when tracing is compiled
-    /// out or no sink is installed, so call sites need no feature gates.
-    #[cfg(feature = "trace")]
+    /// closes when the returned guard drops. Inert when no sink is
+    /// installed.
     pub fn span(&self, kind: ScopeKind, label: &'static str, arg: u64) -> TraceSpan {
         match self.inner.tracer.get() {
             Some(sink) => {
@@ -102,15 +97,8 @@ impl SimCtx {
                     ctx: Some(self.clone()),
                 }
             }
-            None => TraceSpan::inert(),
+            None => TraceSpan { ctx: None },
         }
-    }
-
-    /// Open a trace scope — no-op build (the `trace` feature is disabled).
-    #[cfg(not(feature = "trace"))]
-    pub fn span(&self, kind: ScopeKind, label: &'static str, arg: u64) -> TraceSpan {
-        let _ = (kind, label, arg);
-        TraceSpan::inert()
     }
 
     /// Advance the clock, forwarding the charge to the trace sink if one is
@@ -119,7 +107,6 @@ impl SimCtx {
     /// makes the per-lane conservation invariant (attributed ns == lane
     /// totals) checkable at all.
     fn advance_traced(&self, lane: Lane, event: Option<Event>, count: u64, ns: u64) {
-        #[cfg(feature = "trace")]
         if let Some(sink) = self.inner.tracer.get() {
             let start_ns = self.inner.clock.now_ns();
             self.inner.clock.advance(lane, ns);
@@ -132,7 +119,6 @@ impl SimCtx {
             });
             return;
         }
-        let _ = (event, count);
         self.inner.clock.advance(lane, ns);
     }
 

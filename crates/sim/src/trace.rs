@@ -1,17 +1,15 @@
 //! Trace hooks: the contract between the simulation context and an external
 //! trace consumer (the `ooh-trace` crate).
 //!
-//! `ooh-sim` itself stores nothing: when the `trace` cargo feature is enabled
-//! and a [`TraceSink`] has been installed on a [`SimCtx`](crate::SimCtx),
-//! every virtual-clock charge is forwarded as a [`TraceRecord`], and scoped
-//! context (technique / phase / operation / process) is forwarded as
-//! push/pop of [`ScopeKind`]-tagged frames. Everything is keyed by the
+//! `ooh-sim` itself stores nothing: when a [`TraceSink`] has been installed
+//! on a [`SimCtx`](crate::SimCtx), every virtual-clock charge is forwarded
+//! as a [`TraceRecord`], and scoped context (technique / phase / operation /
+//! process) is forwarded as push/pop of [`ScopeKind`]-tagged frames. Everything is keyed by the
 //! *virtual* clock — no wall-clock time enters here, so the det-time lints
 //! and the byte-identical determinism contract are unaffected.
 //!
-//! With the feature disabled, or with no sink installed, the hooks are inert:
-//! `span()` returns an empty guard and the charge paths skip straight to the
-//! clock.
+//! With no sink installed the hooks are inert: `span()` returns an empty
+//! guard and the charge paths skip straight to the clock.
 
 use crate::clock::Lane;
 use crate::counters::Event;
@@ -82,27 +80,15 @@ pub trait TraceSink: Send + Sync {
     fn pop_scope(&self, now_ns: u64);
 }
 
-/// RAII guard for a scope frame: pops on drop. Inert (zero fields beyond a
-/// context handle) when tracing is disabled or no sink is installed.
+/// RAII guard for a scope frame: pops on drop. Inert (no context handle)
+/// when no sink is installed.
 #[must_use = "a span guard pops its scope when dropped; binding it to `_` pops immediately"]
 pub struct TraceSpan {
-    #[cfg(feature = "trace")]
     pub(crate) ctx: Option<crate::SimCtx>,
-}
-
-impl TraceSpan {
-    /// An inert span (no scope was pushed; drop is a no-op).
-    pub(crate) fn inert() -> Self {
-        Self {
-            #[cfg(feature = "trace")]
-            ctx: None,
-        }
-    }
 }
 
 impl Drop for TraceSpan {
     fn drop(&mut self) {
-        #[cfg(feature = "trace")]
         if let Some(ctx) = self.ctx.take() {
             if let Some(sink) = ctx.trace_sink() {
                 sink.pop_scope(ctx.now_ns());

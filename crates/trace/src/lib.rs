@@ -3,12 +3,12 @@
 //! The simulator charges every mechanism to a virtual nanosecond clock
 //! (`SimCtx::charge*`), but that attribution is write-only: the clock says
 //! *how much* time passed, not *where* it went. This crate is the read side.
-//! Install a [`Tracer`] on a `SimCtx` (built with the `trace` feature) and
-//! every charge is journaled as a structured record — lane, event kind,
-//! vCPU, pid, technique, nanoseconds — keyed **only by the virtual clock**,
-//! so tracing never perturbs the determinism contract: the same seeded
-//! scenario produces the same journal, byte for byte, and the virtual clocks
-//! are identical with tracing on or off.
+//! Install a [`Tracer`] on a `SimCtx` and every charge is journaled as a
+//! structured record — lane, event kind, vCPU, pid, technique, nanoseconds —
+//! keyed **only by the virtual clock**, so tracing never perturbs the
+//! determinism contract: the same seeded scenario produces the same journal,
+//! byte for byte, and the virtual clocks are identical with tracing on or
+//! off.
 //!
 //! Three views come out of the journal:
 //!
@@ -23,16 +23,14 @@
 //! attributed nanoseconds equal the lane totals on the `SimClock`, exactly
 //! ([`Tracer::check_conservation`]). That is what lets `table5` be
 //! regenerated from the trace and cross-checked against the hand-wired
-//! counters (see `crates/bench/src/bin/table5.rs`). It holds because every
+//! counters (see `crates/bench/src/reports/table5.rs`). It holds because every
 //! clock advance goes through the single `SimCtx` chokepoint, provided the
 //! tracer is installed *before the first charge*.
 //!
 //! Aggregates (attribution tree, per-label scope sums, lane totals) are
 //! exact for runs of any length; only the per-instance timeline kept for the
 //! Chrome export is capped, with drops counted and reported. When no tracer
-//! is installed the hooks cost one relaxed load per charge; when `ooh-sim`
-//! is built without the `trace` feature they compile out entirely
-//! (DESIGN.md §8).
+//! is installed the hooks cost one relaxed load per charge (DESIGN.md §8).
 
 #![forbid(unsafe_code)]
 

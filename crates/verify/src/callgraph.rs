@@ -45,8 +45,9 @@ pub struct Node {
 pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("hypervisor", "hypercall"),
     ("hypervisor", "handle_*"),
-    // The pre-copy migration round surface: the fleet control plane drives
-    // these directly, so the copy channel must account its pages.
+    // The pre-copy migration round surface (`PreCopyMigration::round`,
+    // `finalize`, `run_to_completion`): the copy channel must account its
+    // pages.
     ("hypervisor", "round"),
     ("hypervisor", "finalize"),
     ("hypervisor", "run_*"),

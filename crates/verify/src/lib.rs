@@ -35,8 +35,8 @@
 //! - [`rules`] — the rule table: one entry per rule id with its metadata
 //!   and its detector — a banned token sequence, a set of protocols, or a
 //!   bespoke per-file matcher;
-//! - [`sarif`] — JSON and SARIF 2.1.0 emitters for the report (the text
-//!   form is [`Violation`]'s `Display`; traces become `codeFlows`).
+//! - [`sarif`] — the SARIF 2.1.0 emitter for the report (the text form is
+//!   [`Violation`]'s `Display`; traces become `codeFlows`).
 //!
 //! It is still not rustc — the goal is catching honest regressions, not
 //! adversarial obfuscation — but findings carry file/line/column spans,

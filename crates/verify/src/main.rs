@@ -1,11 +1,10 @@
 //! CLI entry point:
-//! `cargo run -p ooh-verify [--prune-stale] [--format text|json|sarif] [--output FILE] [workspace-root]`.
+//! `cargo run -p ooh-verify [--prune-stale] [--format text|sarif] [--output FILE] [workspace-root]`.
 //!
 //! The default (text) mode prints every violation and exits 1 if any are
 //! found, 0 on a clean tree — suitable for CI and pre-commit hooks.
-//! `--format json` / `--format sarif` emit the structured report instead
-//! (to stdout, or to `--output FILE`); the exit code contract is the same
-//! in every format. `--prune-stale` rewrites `verify.allow` without the
+//! `--format sarif` emits the SARIF report instead (to stdout, or to
+//! `--output FILE`); the exit code contract is the same in both formats. `--prune-stale` rewrites `verify.allow` without the
 //! entries the `stale-allow` rule flagged, then re-scans and reports on the
 //! pruned tree. A usage error (unknown flag, missing value, second root)
 //! or a failed/empty scan exits 2.
@@ -18,7 +17,6 @@ use std::process::ExitCode;
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Format {
     Text,
-    Json,
     Sarif,
 }
 
@@ -47,11 +45,10 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             "--format" => {
                 parsed.format = match args.next().as_deref() {
                     Some("text") => Format::Text,
-                    Some("json") => Format::Json,
                     Some("sarif") => Format::Sarif,
                     other => {
                         return Err(format!(
-                            "--format takes text|json|sarif, got {:?}",
+                            "--format takes text|sarif, got {:?}",
                             other.unwrap_or("nothing")
                         ))
                     }
@@ -87,7 +84,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("ooh-verify: {e}");
             eprintln!(
-                "usage: ooh-verify [--prune-stale] [--format text|json|sarif] [--output FILE] [workspace-root]"
+                "usage: ooh-verify [--prune-stale] [--format text|sarif] [--output FILE] [workspace-root]"
             );
             return ExitCode::from(2);
         }
@@ -173,7 +170,6 @@ fn main() -> ExitCode {
             }
             text
         }
-        Format::Json => ooh_verify::sarif::to_json(&report),
         Format::Sarif => ooh_verify::sarif::to_sarif(&report),
     };
     if !emit(&rendered, output.as_deref()) {
@@ -250,6 +246,7 @@ mod tests {
         assert!(e.contains("`b`") && e.contains("`a`"), "{e}");
         assert!(parse(&["--format"]).unwrap_err().contains("--format"));
         assert!(parse(&["--format", "xml"]).unwrap_err().contains("xml"));
+        assert!(parse(&["--format", "json"]).unwrap_err().contains("json"));
         assert!(parse(&["--output"]).unwrap_err().contains("--output"));
     }
 }

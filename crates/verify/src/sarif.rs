@@ -1,20 +1,20 @@
-//! Structured output for [`crate::Report`]: a plain JSON form and SARIF
-//! 2.1.0, both hand-rolled (this crate is dependency-free by design).
+//! Structured output for [`crate::Report`]: SARIF 2.1.0, hand-rolled (this
+//! crate is dependency-free by design).
 //!
-//! Both emitters are deterministic: violations are already sorted by
+//! The emitter is deterministic: violations are already sorted by
 //! `(path, line, rule, col)` when a report is built, rule metadata comes
 //! from the static [`crate::RULES`] table in declaration order, and no
 //! timestamps, absolute paths, or environment data are embedded — the
 //! bytes depend only on the scanned sources. `tests/verify_lint.rs`
-//! asserts the byte-identical-across-runs property for all three formats
-//! (text being [`crate::Violation`]'s `Display`).
+//! asserts the byte-identical-across-runs property for both formats (text
+//! being [`crate::Violation`]'s `Display`).
 
 use std::fmt::Write as _;
 
 use crate::{Report, RULES};
 
 /// JSON string escaping per RFC 8259: `"`, `\`, and control chars.
-pub fn escape_json(s: &str) -> String {
+fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -29,56 +29,6 @@ pub fn escape_json(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
-}
-
-/// The report as plain JSON: scan totals plus one object per violation
-/// with the full structured finding (rule, path, line, col, message,
-/// excerpt, hint).
-pub fn to_json(report: &Report) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"files_scanned\": {},", report.files_scanned);
-    let _ = writeln!(out, "  \"allowed\": {},", report.allowed);
-    out.push_str("  \"violations\": [");
-    for (i, v) in report.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {");
-        let _ = write!(
-            out,
-            "\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\", \"excerpt\": \"{}\", \"hint\": \"{}\"",
-            escape_json(v.rule),
-            escape_json(&v.path),
-            v.line,
-            v.col,
-            escape_json(&v.message),
-            escape_json(&v.excerpt),
-            escape_json(&v.hint),
-        );
-        out.push_str(", \"trace\": [");
-        for (j, s) in v.trace.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"line\": {}, \"col\": {}, \"note\": \"{}\"}}",
-                s.line,
-                s.col,
-                escape_json(&s.note),
-            );
-        }
-        out.push(']');
-        out.push('}');
-    }
-    if report.violations.is_empty() {
-        out.push_str("]\n");
-    } else {
-        out.push_str("\n  ]\n");
-    }
-    out.push_str("}\n");
     out
 }
 
@@ -226,17 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_and_carries_all_fields() {
-        let j = to_json(&sample());
-        assert!(j.contains("\"files_scanned\": 2"));
-        assert!(j.contains("\"rule\": \"cost-coverage\""));
-        assert!(j.contains("\"line\": 10"));
-        assert!(j.contains("\"col\": 5"));
-        assert!(j.contains("\\\"quote\\\\\\\" \\t\\\""), "{j}");
-        assert!(j.contains("\"hint\": \"charge the cost model\""));
-    }
-
-    #[test]
     fn sarif_structure_and_rule_index() {
         let s = to_sarif(&sample());
         assert!(s.contains("\"version\": \"2.1.0\""));
@@ -259,23 +198,15 @@ mod tests {
         assert!(s.contains("\"threadFlows\""));
         assert!(s.contains("\"relatedLocations\""));
         assert!(s.contains("starts in state"));
-        let j = to_json(&traced());
-        assert!(j.contains("\"trace\": [{\"line\": 8"), "{j}");
-        // Traceless findings keep an empty trace array in JSON and no
-        // codeFlows in SARIF.
-        let plain = to_sarif(&sample());
-        assert!(!plain.contains("codeFlows"));
-        assert!(to_json(&sample()).contains("\"trace\": []"));
+        // Traceless findings carry no codeFlows.
+        assert!(!to_sarif(&sample()).contains("codeFlows"));
     }
 
     #[test]
     fn empty_report_is_valid_and_stable() {
         let empty = Report::default();
-        let j1 = to_json(&empty);
-        let j2 = to_json(&empty);
-        assert_eq!(j1, j2);
-        assert!(j1.contains("\"violations\": []"));
         let s = to_sarif(&empty);
+        assert_eq!(s, to_sarif(&empty));
         assert!(s.contains("\"results\": []"));
     }
 }
