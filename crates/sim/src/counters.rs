@@ -4,8 +4,11 @@
 //! it fires. The benchmark harness reads these to validate the paper's
 //! analytical model (Table IV uses event counts × unit costs) and to explain
 //! *why* a technique is slow (e.g. SPML's hypercall count).
+//!
+//! Like the clock, the counters have one writer (the owning scenario) and
+//! are plain [`Cell`]s.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 macro_rules! events {
     ($(#[$ea:meta])* pub enum Event { $( $(#[$va:meta])* $name:ident ),+ $(,)? }) => {
@@ -163,26 +166,27 @@ events! {
     }
 }
 
-/// A fixed array of relaxed atomic counters, one per [`Event`].
+/// A fixed array of counters, one per [`Event`].
 pub struct EventCounters {
-    counts: [AtomicU64; EVENT_COUNT],
+    counts: [Cell<u64>; EVENT_COUNT],
 }
 
 impl EventCounters {
     pub fn new() -> Self {
         Self {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            counts: std::array::from_fn(|_| Cell::new(0)),
         }
     }
 
     /// Add `n` occurrences of `event`.
     pub fn add(&self, event: Event, n: u64) {
-        self.counts[event as usize].fetch_add(n, Ordering::Relaxed);
+        let slot = &self.counts[event as usize];
+        slot.set(slot.get() + n);
     }
 
     /// Current count for `event`.
     pub fn get(&self, event: Event) -> u64 {
-        self.counts[event as usize].load(Ordering::Relaxed)
+        self.counts[event as usize].get()
     }
 
     /// Snapshot all non-zero counters as `(event, count)` pairs.

@@ -13,6 +13,21 @@
 //! Time can be attributed to one of four [`Lane`]s (Tracked application,
 //! Tracker, guest kernel, hypervisor) so the harness can report both
 //! "overhead on Tracked" and "overhead on Tracker" as the paper does.
+//!
+//! A [`SimCtx`] has one writer: the scenario that built it. Its clock and
+//! counters are plain cells behind an `Rc`, so the compiler keeps a context
+//! on the thread that owns it, and parallel scenarios (the fleet, the
+//! parallel reports) each build their own inside their worker:
+//!
+//! ```compile_fail,E0277
+//! fn needs_send<T: Send>(_: T) {}
+//! needs_send(ooh_sim::SimCtx::new());
+//! ```
+//!
+//! ```compile_fail,E0277
+//! fn needs_sync<T: Sync>(_: &T) {}
+//! needs_sync(&ooh_sim::SimCtx::new());
+//! ```
 
 #![forbid(unsafe_code)]
 
@@ -32,26 +47,26 @@ pub use stats::{overhead_pct, percentile, speedup, Summary};
 pub use table::TextTable;
 pub use trace::{ScopeKind, TraceRecord, TraceSink, TraceSpan};
 
+use std::cell::OnceCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
-/// Shared simulation context: clock + counters + cost model.
+/// Simulation context: clock + counters + cost model.
 ///
-/// Cloning is cheap (`Arc` internally); all state is updated with relaxed
-/// atomics, so a context can be shared across threads when the bench harness
-/// runs independent scenarios in parallel (each scenario owns its own ctx).
+/// Cloning is cheap (`Rc` internally) and every clone advances the same
+/// clock and counters. Neither `Send` nor `Sync`: see the crate docs.
 #[derive(Clone)]
 pub struct SimCtx {
-    inner: Arc<SimCtxInner>,
+    inner: Rc<SimCtxInner>,
 }
 
 struct SimCtxInner {
     clock: SimClock,
     counters: EventCounters,
     cost: CostModel,
-    /// Installed trace sink, if any. `OnceLock` keeps the disabled path to a
-    /// single relaxed load, and install-once matches the determinism
+    /// Installed trace sink, if any. Install-once matches the determinism
     /// contract (a sink appearing mid-run would see a partial timeline).
-    tracer: std::sync::OnceLock<Arc<dyn TraceSink>>,
+    tracer: OnceCell<Arc<dyn TraceSink>>,
 }
 
 impl SimCtx {
@@ -64,11 +79,11 @@ impl SimCtx {
     /// and by tests that want zero-cost mechanisms).
     pub fn with_cost_model(cost: CostModel) -> Self {
         Self {
-            inner: Arc::new(SimCtxInner {
+            inner: Rc::new(SimCtxInner {
                 clock: SimClock::new(),
                 counters: EventCounters::new(),
                 cost,
-                tracer: std::sync::OnceLock::new(),
+                tracer: OnceCell::new(),
             }),
         }
     }
@@ -102,9 +117,9 @@ impl SimCtx {
     }
 
     /// Advance the clock, forwarding the charge to the trace sink if one is
-    /// installed. The single chokepoint for all virtual time: `charge`,
-    /// `charge_n`, `charge_ns` and `advance` all land here, which is what
-    /// makes the per-lane conservation invariant (attributed ns == lane
+    /// installed. The single chokepoint for all virtual time: every
+    /// `charge*` (through [`Self::record`]) and `advance` land here, which is
+    /// what makes the per-lane conservation invariant (attributed ns == lane
     /// totals) checkable at all.
     fn advance_traced(&self, lane: Lane, event: Option<Event>, count: u64, ns: u64) {
         if let Some(sink) = self.inner.tracer.get() {
@@ -141,33 +156,34 @@ impl SimCtx {
     ///
     /// Returns the nanoseconds charged so callers can aggregate phase times.
     pub fn charge(&self, lane: Lane, event: Event) -> u64 {
-        let ns = self.inner.cost.unit_ns(event);
-        self.charge_ns(lane, event, ns)
+        self.record(lane, event, 1, self.inner.cost.unit_ns(event))
     }
 
     /// Record `n` occurrences of `event` at once (e.g. a batched buffer copy).
     pub fn charge_n(&self, lane: Lane, event: Event, n: u64) -> u64 {
         let ns = self.inner.cost.unit_ns(event).saturating_mul(n);
-        self.inner.counters.add(event, n);
-        self.advance_traced(lane, Some(event), n, ns);
-        ns
+        self.record(lane, event, n, ns)
     }
 
     /// Record `n` occurrences of `event` with an explicit *total* cost —
     /// for batches whose unit cost is not in the [`CostModel`], e.g. a
     /// migration round shipping `n` pages over a configured copy channel.
     pub fn charge_n_ns(&self, lane: Lane, event: Event, n: u64, ns: u64) -> u64 {
-        self.inner.counters.add(event, n);
-        self.advance_traced(lane, Some(event), n, ns);
-        ns
+        self.record(lane, event, n, ns)
     }
 
     /// Record one occurrence of `event` with an explicit cost (for costs
     /// computed from mechanism state, e.g. a pagemap scan proportional to
     /// resident pages).
     pub fn charge_ns(&self, lane: Lane, event: Event, ns: u64) -> u64 {
-        self.inner.counters.add(event, 1);
-        self.advance_traced(lane, Some(event), 1, ns);
+        self.record(lane, event, 1, ns)
+    }
+
+    /// The one body behind every `charge*`: count `n` occurrences of
+    /// `event` and advance `lane` by `ns`.
+    fn record(&self, lane: Lane, event: Event, n: u64, ns: u64) -> u64 {
+        self.inner.counters.add(event, n);
+        self.advance_traced(lane, Some(event), n, ns);
         ns
     }
 
@@ -250,6 +266,22 @@ mod tests {
         assert_eq!(pages_for_bytes(1), 1);
         assert_eq!(pages_for_bytes(PAGE_SIZE), 1);
         assert_eq!(pages_for_bytes(PAGE_SIZE + 1), 2);
+    }
+
+    #[test]
+    fn clones_share_one_clock_and_one_set_of_counters() {
+        let a = SimCtx::new();
+        let b = a.clone();
+        let na = a.charge(Lane::Kernel, Event::ContextSwitch);
+        let nb = b.charge_n(Lane::Tracker, Event::ContextSwitch, 2);
+        b.advance(Lane::Tracked, 7);
+        for ctx in [&a, &b] {
+            assert_eq!(ctx.now_ns(), na + nb + 7);
+            assert_eq!(ctx.counters().get(Event::ContextSwitch), 3);
+            assert_eq!(ctx.clock().lane_ns(Lane::Kernel), na);
+            assert_eq!(ctx.clock().lane_ns(Lane::Tracker), nb);
+            assert_eq!(ctx.clock().lane_ns(Lane::Tracked), 7);
+        }
     }
 
     #[test]
