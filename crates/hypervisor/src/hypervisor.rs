@@ -177,7 +177,10 @@ impl Hypervisor {
         let outcome = mmu.access(cr3, gva, write)?;
         match outcome {
             Ok(AccessOk { hpa, gpa, events }) => {
-                self.dispatch_pml_events(vm, vcpu, &events, lane)?;
+                // A TLB hit logs nothing, so there is nothing to dispatch.
+                if !events.is_empty() {
+                    self.dispatch_pml_events(vm, vcpu, &events, lane)?;
+                }
                 Ok(Ok(GuestAccess { hpa, gpa }))
             }
             // EPT-side split-on-dirty: a logged write hit a still-clean huge
