@@ -49,6 +49,8 @@ pub struct Process {
     pub pid: Pid,
     /// Guest-physical root of this process's page table hierarchy.
     pub cr3: Gpa,
+    /// The vCPU all of its user-mode execution runs on, set at spawn.
+    pub(crate) home_vcpu: u32,
     pub vmas: Vec<Vma>,
     /// Page-table pages allocated for this process (for teardown and
     /// accounting — the kernel frees them on exit).
@@ -80,6 +82,7 @@ impl Process {
         Self {
             pid,
             cr3,
+            home_vcpu: 0,
             vmas: Vec::new(),
             pt_pages: Vec::new(),
             resident: std::collections::BTreeMap::new(),
@@ -190,6 +193,7 @@ impl std::fmt::Debug for Process {
         f.debug_struct("Process")
             .field("pid", &self.pid)
             .field("cr3", &self.cr3)
+            .field("home_vcpu", &self.home_vcpu)
             .field("vmas", &self.vmas.len())
             .field("resident_pages", &self.resident_pages())
             .finish()
