@@ -124,8 +124,8 @@ impl Criu {
             let hpa = hv
                 .gpa_to_hpa(kernel.vm, ooh_machine::Gpa::from_page(gpa_page))?
                 .expect("resident page must be mapped");
-            let bytes = *hv.machine.phys.frame_bytes(hpa)?;
-            img.put_page(gva.page(), &bytes);
+            let bytes = hv.machine.phys.frame_bytes(hpa)?;
+            img.put_page(gva.page(), bytes);
             let mut cost = self.config.page_dump_ns;
             if !batched {
                 cost += self.config.unbatched_overhead_ns;
