@@ -1,18 +1,15 @@
-//! Cross-tracker runtime invariant checker (`debug-invariants` builds only).
+//! Cross-tracker agreement checker (test-only).
 //!
 //! The load-bearing claim of the whole library is that the four techniques
 //! are *interchangeable*: for the same write pattern they must report the
-//! same dirty set, round after round. The unit tests spot-check this for a
-//! handful of patterns; this module packages the check as a reusable harness
-//! so deeper builds (CI with `--features debug-invariants`, fuzzing drivers,
-//! future soak tests) can throw arbitrary write schedules at all four
-//! trackers and fail loudly on the first divergence.
+//! same dirty set, round after round. This module packages the check as a
+//! harness that throws a write schedule at all four trackers and fails
+//! loudly on the first divergence.
 //!
-//! Alongside the agreement check, running any scenario under
-//! `debug-invariants` also exercises the machine-level shadow invariants
-//! (PML one-log-per-dirty-transition, SPSC ring structure, no stale-TLB
-//! logging suppression) on every simulated instruction, because the
-//! `ooh-machine/debug-invariants` feature is enabled transitively.
+//! Under `--features ooh-machine/debug-invariants` the same runs also
+//! exercise the machine-level shadow invariants (PML
+//! one-log-per-dirty-transition, SPSC ring structure, no stale-TLB logging
+//! suppression) on every simulated instruction.
 
 use crate::{DirtySet, OohSession, Technique};
 use ooh_guest::{GuestError, GuestKernel, Pid, VmaKind};

@@ -17,8 +17,8 @@
 #![forbid(unsafe_code)]
 
 pub mod dirtyset;
-#[cfg(feature = "debug-invariants")]
-pub mod invariants;
+#[cfg(test)]
+mod invariants;
 pub mod model_port;
 pub mod pml_tracker;
 pub mod policy;

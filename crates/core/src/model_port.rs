@@ -279,8 +279,9 @@ pub enum ModelViolation {
     StaleTlb { page: u64 },
     /// P5: a per-lane virtual clock moved backwards.
     ClockRegression { lane: &'static str },
-    /// P2 (and the machine's other shadow invariants): a `debug-invariants`
-    /// assertion fired inside the simulator during the step.
+    /// P2 (and the machine's other shadow invariants): an
+    /// [`ooh_machine::DEBUG_INVARIANTS`] assertion fired inside the simulator
+    /// during the step.
     InvariantPanic { message: String },
     /// The simulator returned an error the model did not expect (treated as
     /// a failure of the path, with the error preserved verbatim).
@@ -481,8 +482,13 @@ impl ModelSession {
             let gva = this.tracked_region.start.add(i * PAGE_SIZE);
             this.seq += 1;
             let seq = this.seq;
-            this.kernel
-                .write_u64_no_irq(&mut this.hv, this.tracked, gva, seq, Lane::Tracked)?;
+            this.kernel.write_bytes_no_irq(
+                &mut this.hv,
+                this.tracked,
+                gva,
+                &seq.to_le_bytes(),
+                Lane::Tracked,
+            )?;
             this.oracle.insert(gva.page());
         }
 
@@ -578,8 +584,8 @@ impl ModelSession {
     }
 
     /// Properties checked after every step: P3 (ring accounting), P5 (lane
-    /// clock monotonicity), and — in `debug-invariants` builds — P4 (no
-    /// logging-suppressing stale TLB entry).
+    /// clock monotonicity), and — when [`ooh_machine::DEBUG_INVARIANTS`] is
+    /// on — P4 (no logging-suppressing stale TLB entry).
     fn check_after_step(&mut self) -> Result<(), ModelViolation> {
         // P3: queue depth bounded by capacity; drops accounted by the
         // overflow event counter (a silent drop breaks the tracker's
@@ -621,14 +627,15 @@ impl ModelSession {
         self.check_step_invariants()
     }
 
-    /// P4, `debug-invariants` builds only: a tracked-region page whose PTE
-    /// dirty bit is clear must not retain a TLB entry with the guest-dirty
-    /// flag set — such an entry lets the fast path skip the page-walk that
-    /// would log the next write, losing the page for the following round.
+    /// P4, [`ooh_machine::DEBUG_INVARIANTS`] builds only: a tracked-region
+    /// page whose PTE dirty bit is clear must not retain a TLB entry with the
+    /// guest-dirty flag set — such an entry lets the fast path skip the
+    /// page-walk that would log the next write, losing the page for the
+    /// following round.
     /// Checked on *every* vCPU: a dirty-bit clear is only correct if the
     /// shootdown reached all cores, so a stale entry anywhere violates P4.
     fn check_step_invariants(&mut self) -> Result<(), ModelViolation> {
-        if cfg!(feature = "debug-invariants") {
+        if ooh_machine::DEBUG_INVARIANTS {
             if self.technique != Technique::Epml {
                 return Ok(());
             }
@@ -695,7 +702,13 @@ impl ModelPort for ModelSession {
                 self.seq += 1;
                 let seq = self.seq;
                 self.kernel
-                    .write_u64_no_irq(&mut self.hv, self.tracked, gva, seq, Lane::Tracked)
+                    .write_bytes_no_irq(
+                        &mut self.hv,
+                        self.tracked,
+                        gva,
+                        &seq.to_le_bytes(),
+                        Lane::Tracked,
+                    )
                     .map_err(internal)?;
                 self.oracle.insert(gva.page());
             }
@@ -704,7 +717,13 @@ impl ModelPort for ModelSession {
                 self.seq += 1;
                 let seq = self.seq;
                 self.kernel
-                    .write_u64_no_irq(&mut self.hv, self.other, gva, seq, Lane::Tracked)
+                    .write_bytes_no_irq(
+                        &mut self.hv,
+                        self.other,
+                        gva,
+                        &seq.to_le_bytes(),
+                        Lane::Tracked,
+                    )
                     .map_err(internal)?;
             }
             Step::SchedOut => {
@@ -943,6 +962,37 @@ mod tests {
         let mut nf =
             ModelSession::boot(Technique::Epml, Scenario::NearFull, Mutation::None).unwrap();
         assert!(!nf.commutes(Step::WriteTracked(0), Step::WriteTracked(1)));
+    }
+
+    /// P4 fires on a stale entry left on a core other than the writer's:
+    /// vCPU 1 keeps the guest-dirty translation vCPU 0 cached before the
+    /// drain cleared the page's PTE dirty bit (a shootdown that missed it).
+    #[test]
+    fn stale_tlb_entry_on_another_vcpu_violates_p4() {
+        let mut m =
+            ModelSession::boot_with_vcpus(Technique::Epml, Scenario::Small, Mutation::None, 2)
+                .unwrap();
+        let gva = m.tracked_target_gva(0);
+        let cr3 = m.kernel.process(m.tracked).unwrap().cr3;
+        m.apply(Step::WriteTracked(0)).unwrap();
+        let vm = m.kernel.vm;
+        let cached = m.hv.vm(vm).vcpus[0].tlb.peek(cr3, gva).unwrap();
+        assert!(cached.guest_dirty);
+        m.apply(Step::FetchDirty).unwrap();
+        let (_, pte) = m
+            .kernel
+            .pte_lookup(&mut m.hv, m.tracked, gva)
+            .unwrap()
+            .unwrap();
+        assert!(!pte.is_dirty(), "the drain clears the PTE dirty bit");
+
+        m.hv.vm_mut(vm).vcpus[1].tlb.fill(cr3, gva, cached);
+        let expected = if ooh_machine::DEBUG_INVARIANTS {
+            Err(ModelViolation::StaleTlb { page: gva.page() })
+        } else {
+            Ok(())
+        };
+        assert_eq!(m.check_after_step(), expected);
     }
 
     #[test]

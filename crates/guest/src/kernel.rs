@@ -202,11 +202,6 @@ impl GuestKernel {
         self.current[self.vcpu as usize]
     }
 
-    /// The process running on `vcpu`.
-    pub fn current_on(&self, vcpu: u32) -> Option<Pid> {
-        self.current.get(vcpu as usize).copied().flatten()
-    }
-
     // --- memory mapping -----------------------------------------------------
 
     /// mmap: reserve `pages` pages (lazy; PTEs appear on first touch).
@@ -787,12 +782,8 @@ impl GuestKernel {
     }
 
     /// [`Self::access`] without the interrupt poll: the access completes and
-    /// any posted self-IPI stays pending. This is the model checker's step
-    /// surface — it lets the explorer schedule IPI delivery as its own step
-    /// and so enumerate the store/IPI interleavings that `access` (which
-    /// services interrupts immediately, like an interruptible kernel path)
-    /// never produces. Normal workloads should use `access`.
-    pub fn access_no_irq(
+    /// any posted self-IPI stays pending.
+    fn access_no_irq(
         &mut self,
         hv: &mut Hypervisor,
         pid: Pid,
@@ -865,8 +856,12 @@ impl GuestKernel {
         self.write_bytes_inner(hv, pid, gva, bytes, lane, true)
     }
 
-    /// [`Self::write_bytes`] without the interrupt poll (see
-    /// [`Self::access_no_irq`] for when that matters).
+    /// [`Self::write_bytes`] without the interrupt poll: the stores complete
+    /// and any posted self-IPI stays pending. This is the model checker's
+    /// step surface — it lets the explorer schedule IPI delivery as its own
+    /// step and so enumerate the store/IPI interleavings that `write_bytes`
+    /// (which services interrupts immediately, like an interruptible kernel
+    /// path) never produces. Normal workloads should use `write_bytes`.
     pub fn write_bytes_no_irq(
         &mut self,
         hv: &mut Hypervisor,
@@ -986,18 +981,6 @@ impl GuestKernel {
         lane: Lane,
     ) -> Result<(), GuestError> {
         self.write_word(hv, pid, gva, value.to_le_bytes(), lane)
-    }
-
-    /// [`Self::write_u64`] without the interrupt poll (model-checker step).
-    pub fn write_u64_no_irq(
-        &mut self,
-        hv: &mut Hypervisor,
-        pid: Pid,
-        gva: Gva,
-        value: u64,
-        lane: Lane,
-    ) -> Result<(), GuestError> {
-        self.write_bytes_no_irq(hv, pid, gva, &value.to_le_bytes(), lane)
     }
 
     pub fn read_u64(

@@ -85,19 +85,6 @@ impl GuestKernel {
     pub fn spp_subpage_of(gva: Gva) -> u32 {
         (gva.offset() / SUBPAGE_SIZE) as u32
     }
-
-    /// Sanity accessor for tests: the VM's current mask for `gva`'s page.
-    pub fn spp_current_mask(
-        &self,
-        hv: &Hypervisor,
-        pid: Pid,
-        gva: Gva,
-    ) -> Result<Option<u32>, GuestError> {
-        let Some(&gpa_page) = self.process(pid)?.resident.get(&gva.page()) else {
-            return Ok(None);
-        };
-        Ok(hv.vm(self.vm).spp_table.mask(Gpa::from_page(gpa_page)))
-    }
 }
 
 /// Number of 128-byte sub-pages covering `bytes`.

@@ -7,8 +7,6 @@
 //! with "PML invariant violated: ... dirty-logged twice" the moment the
 //! guest allocator recycled a freed frame.
 
-#![cfg(feature = "debug-invariants")]
-
 use ooh_guest::{GuestKernel, OohMode, OohModule, VmaKind};
 use ooh_hypervisor::Hypervisor;
 use ooh_machine::{MachineConfig, HUGE_PAGE_PAGES, PAGE_SIZE};

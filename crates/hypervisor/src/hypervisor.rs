@@ -67,10 +67,6 @@ impl Hypervisor {
         &mut self.vms[id.0 as usize]
     }
 
-    pub fn vm_count(&self) -> usize {
-        self.vms.len()
-    }
-
     /// Split borrow: one VM plus the physical memory, for callers that walk
     /// the VM's EPT while touching frames.
     pub fn vm_and_phys_mut(&mut self, id: VmId) -> (&mut Vm, &mut ooh_machine::HostPhys) {
@@ -448,9 +444,6 @@ impl Hypervisor {
                 Ok(HypercallResult::Ok)
             }
             Hypercall::SppSetMask { gpa, mask } => {
-                if !self.machine.config.spp {
-                    return Ok(HypercallResult::Invalid);
-                }
                 self.ctx.charge(lane, Event::SppUpdate);
                 let vmref = &mut self.vms[vm.0 as usize];
                 // The page must be guest RAM of this VM.

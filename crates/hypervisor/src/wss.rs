@@ -2,9 +2,9 @@
 //!
 //! The paper's related work (§VII) cites the authors' prior extension of
 //! PML to "log read pages in order to efficiently estimate VM working set
-//! size". With the PML-R machine extension
-//! ([`ooh_machine::MachineConfig::pml_read_logging`]), the logging circuit
-//! also appends GPAs on EPT *accessed*-bit transitions; the estimator
+//! size". With the PML-R machine extension (present on every simulated
+//! machine), the logging circuit also appends GPAs on EPT *accessed*-bit
+//! transitions; the estimator
 //! periodically clears accessed bits and counts distinct logged pages per
 //! interval — a WSS sample, without write-protecting or pausing the guest.
 
@@ -31,30 +31,25 @@ pub struct WssEstimator {
 }
 
 impl WssEstimator {
-    /// Begin estimating `vm`'s working set. Requires PML-R hardware. Resets
-    /// accessed/dirty state so the first interval starts clean.
+    /// Begin estimating `vm`'s working set. Resets accessed/dirty state so
+    /// the first interval starts clean.
     pub fn start(hv: &mut Hypervisor, vm: VmId) -> Result<Self, MachineError> {
-        if !hv.machine.config.pml_read_logging {
-            return Err(MachineError::EpmlNotSupported);
+        let (vmref, phys) = hv.vm_and_phys_mut(vm);
+        vmref.ept.clear_all_accessed(phys)?;
+        vmref.ept.clear_all_dirty(phys)?;
+        vmref.spml.enabled_by_hyp = true;
+        vmref.wss_accessed.clear();
+        vmref.wss_dirty.clear();
+        vmref.wss_active = true;
+        for vc in &mut vmref.vcpus {
+            vc.tlb.flush_all();
+            vc.pml.shadow_reset_hyp();
+            vc.pml.log_accesses = true;
         }
-        {
-            let (vmref, phys) = hv.vm_and_phys_mut(vm);
-            vmref.ept.clear_all_accessed(phys)?;
-            vmref.ept.clear_all_dirty(phys)?;
-            vmref.spml.enabled_by_hyp = true;
-            vmref.wss_accessed.clear();
-            vmref.wss_dirty.clear();
-            vmref.wss_active = true;
-            for vc in &mut vmref.vcpus {
-                vc.tlb.flush_all();
-                vc.pml.shadow_reset_hyp();
-                vc.pml.log_accesses = true;
-            }
-            vmref.sync_logging();
-            // sync_logging rewrites PML state from the VMCS; re-arm PML-R.
-            for vc in &mut vmref.vcpus {
-                vc.pml.log_accesses = true;
-            }
+        vmref.sync_logging();
+        // sync_logging rewrites PML state from the VMCS; re-arm PML-R.
+        for vc in &mut vmref.vcpus {
+            vc.pml.log_accesses = true;
         }
         Ok(Self {
             vm,

@@ -13,7 +13,7 @@
 //! Newtypes make it a type error to hand a GPA to something expecting a GVA —
 //! exactly the confusion SPML's reverse mapping exists to resolve.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Bytes per page (4 KiB).
 pub const PAGE_SIZE: u64 = 4096;
@@ -33,10 +33,7 @@ pub const HUGE_PAGE_PAGES: u64 = PT_ENTRIES;
 macro_rules! addr_type {
     ($(#[$meta:meta])* $name:ident) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
         pub struct $name(pub u64);
 
         impl $name {
@@ -142,7 +139,7 @@ addr_type! {
 }
 
 /// A half-open page-aligned GVA range `[start, start + pages·4K)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct GvaRange {
     pub start: Gva,
     pub pages: u64,

@@ -58,3 +58,9 @@ pub use tlb::{Tlb, TlbEntry};
 pub use vcpu::{Vcpu, EPML_SELF_IPI_VECTOR};
 pub use vmcs::{exec_controls, Field, Vmcs, VmxMode};
 pub use walker::{AccessOk, Mmu};
+
+/// Whether the runtime invariant hooks are compiled in (the
+/// `debug-invariants` feature of this crate): the PML shadow, the ring
+/// checks, the TLB fast-path check, and the model checker's P4. Every hook
+/// body is `if DEBUG_INVARIANTS { .. }`, so a default build folds it away.
+pub const DEBUG_INVARIANTS: bool = cfg!(feature = "debug-invariants");

@@ -2,30 +2,21 @@
 
 use crate::phys::HostPhys;
 
-/// Hardware configuration knobs.
+/// Hardware configuration knobs. Every machine has PML (with PML-R access
+/// logging), VMCS shadowing, posted interrupts and SPP, as the paper's
+/// testbed does; the only hardware property that differs between the
+/// paper's two machines is EPML.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Installed RAM in bytes.
     pub ram_bytes: u64,
-    /// Standard PML present (all our machines have it; the paper's i7-8565U
-    /// does).
-    pub pml: bool,
-    /// VMCS shadowing present.
-    pub vmcs_shadowing: bool,
-    /// Posted interrupts present.
-    pub posted_interrupts: bool,
     /// The paper's proposed EPML extension present (true for the
     /// BOCHS-analog emulated machine, false for the stock machine).
     pub epml: bool,
-    /// Intel SPP (sub-page write permission) present — the paper's §III-D
-    /// second OoH candidate, used by `ooh-secheap`.
-    pub spp: bool,
     /// Optional TLB capacity per vCPU (None = unbounded, the default model;
     /// see `tlb` module docs). Bounding changes walk counts — useful for
     /// studying baseline sensitivity — but never logging semantics.
     pub tlb_capacity: Option<usize>,
-    /// PML-R: the accessed-bit logging extension (working-set estimation).
-    pub pml_read_logging: bool,
 }
 
 impl MachineConfig {
@@ -34,13 +25,8 @@ impl MachineConfig {
     pub fn stock(ram_bytes: u64) -> Self {
         Self {
             ram_bytes,
-            pml: true,
-            vmcs_shadowing: true,
-            posted_interrupts: true,
             epml: false,
-            spp: true,
             tlb_capacity: None,
-            pml_read_logging: true,
         }
     }
 
@@ -85,7 +71,7 @@ mod tests {
     #[test]
     fn stock_has_no_epml() {
         let c = MachineConfig::stock(1 << 30);
-        assert!(c.pml && c.vmcs_shadowing && c.posted_interrupts && !c.epml);
+        assert!(!c.epml);
         let e = MachineConfig::epml(1 << 30);
         assert!(e.epml);
     }

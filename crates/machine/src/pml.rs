@@ -160,7 +160,7 @@ impl PmlState {
     /// hypervisor buffer. Panics (feature `debug-invariants` only) if the
     /// page was already logged this round.
     pub fn note_hyp_dirty_logged(&mut self, gpa_page: u64) {
-        if cfg!(feature = "debug-invariants") {
+        if crate::DEBUG_INVARIANTS {
             assert!(
                 self.shadow.hyp_logged.insert(gpa_page),
                 "PML invariant violated: GPA page {gpa_page:#x} dirty-logged twice \
@@ -172,7 +172,7 @@ impl PmlState {
     /// The drain path cleared the EPT dirty bit of `gpa_page`; it may log
     /// again. No-op without `debug-invariants`.
     pub fn note_hyp_dirty_cleared(&mut self, gpa_page: u64) {
-        if cfg!(feature = "debug-invariants") {
+        if crate::DEBUG_INVARIANTS {
             self.shadow.hyp_logged.remove(&gpa_page);
         }
     }
@@ -180,7 +180,7 @@ impl PmlState {
     /// The walker logged a 0→1 guest-PTE dirty transition for `gva_page`
     /// into the guest-level (EPML) buffer.
     pub fn note_guest_dirty_logged(&mut self, gva_page: u64) {
-        if cfg!(feature = "debug-invariants") {
+        if crate::DEBUG_INVARIANTS {
             assert!(
                 self.shadow.guest_logged.insert(gva_page),
                 "PML invariant violated: GVA page {gva_page:#x} dirty-logged twice \
@@ -192,7 +192,7 @@ impl PmlState {
     /// The OoH module cleared the dirty bit of the guest PTE mapping
     /// `gva_page` (drain or track-reset); it may log again.
     pub fn note_guest_dirty_cleared(&mut self, gva_page: u64) {
-        if cfg!(feature = "debug-invariants") {
+        if crate::DEBUG_INVARIANTS {
             self.shadow.guest_logged.remove(&gva_page);
         }
     }
@@ -200,14 +200,14 @@ impl PmlState {
     /// Bulk reset of the hypervisor-side shadow — paired with
     /// `Ept::clear_all_dirty` (SPML init, WSS intervals).
     pub fn shadow_reset_hyp(&mut self) {
-        if cfg!(feature = "debug-invariants") {
+        if crate::DEBUG_INVARIANTS {
             self.shadow.hyp_logged.clear();
         }
     }
 
     /// Bulk reset of the guest-side shadow — paired with EPML deactivation.
     pub fn shadow_reset_guest(&mut self) {
-        if cfg!(feature = "debug-invariants") {
+        if crate::DEBUG_INVARIANTS {
             self.shadow.guest_logged.clear();
         }
     }

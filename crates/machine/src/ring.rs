@@ -109,7 +109,7 @@ impl RingView {
     /// unconsumed entries), and the header capacity must match this view's
     /// (attach/create disagreement corrupts slot arithmetic).
     fn check_invariants(&self, phys: &HostPhys, head: u64, tail: u64) -> Result<(), MachineError> {
-        if cfg!(feature = "debug-invariants") {
+        if crate::DEBUG_INVARIANTS {
             let cap = phys.read_u64(self.header.add(OFF_CAP))?;
             assert_eq!(
                 cap, self.capacity,

@@ -62,11 +62,6 @@ impl SppTable {
         }
     }
 
-    /// Number of guarded pages (reporting).
-    pub fn guarded_pages(&self) -> usize {
-        self.masks.len()
-    }
-
     /// The sub-page index of a byte address.
     pub fn subpage_of(gpa: Gpa) -> u32 {
         (gpa.offset() / SUBPAGE_SIZE) as u32

@@ -379,7 +379,7 @@ impl Mmu<'_> {
         gva: Gva,
         entry: &TlbEntry,
     ) -> Result<(), MachineError> {
-        if !cfg!(feature = "debug-invariants") {
+        if !crate::DEBUG_INVARIANTS {
             return Ok(());
         }
         let data_gpa = entry.gpa(gva);

@@ -9,12 +9,12 @@
 //!   a ground-truth oracle of written pages (exact equality; a superset is
 //!   tolerated only across a recorded ring overflow).
 //! * **P2 — one log entry per 0→1 dirty transition**: the machine's shadow
-//!   accounting panics under `debug-invariants`; the explorer catches the
-//!   panic and reports the path.
+//!   accounting panics under `ooh-machine/debug-invariants`; the explorer
+//!   catches the panic and reports the path.
 //! * **P3 — the ring never silently overflows**: queue depth stays within
 //!   capacity and every drop is matched by an overflow event.
 //! * **P4 — no logging-suppressing stale TLB entry** after a drain
-//!   (`debug-invariants` builds).
+//!   (`ooh-machine/debug-invariants` builds).
 //! * **P5 — per-lane virtual clocks are monotone**.
 //!
 //! State explosion is tamed with sleep-set partial-order reduction (over the

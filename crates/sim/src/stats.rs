@@ -75,15 +75,6 @@ impl Summary {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Relative standard deviation in percent (coefficient of variation).
-    pub fn rsd_pct(&self) -> f64 {
-        if self.mean().abs() < f64::EPSILON {
-            0.0
-        } else {
-            100.0 * self.stddev() / self.mean().abs()
-        }
-    }
 }
 
 /// Overhead of `measured` relative to `baseline`, in percent — the paper's

@@ -350,7 +350,8 @@ impl Tracer {
     /// journal attributes equal the lane's total on `clock`. Exact equality
     /// — the journal sees every charge (it sits on the `SimCtx` chokepoint),
     /// so any difference means a charge bypassed the chokepoint or the
-    /// tracer was installed after time had already passed.
+    /// tracer was installed after time had already passed. Also checks that
+    /// the attribution tree sums to the same total as the lane accumulators.
     pub fn check_conservation(&self, clock: &SimClock) -> Result<(), String> {
         let inner = self.lock();
         for lane in Lane::ALL {
@@ -365,15 +366,13 @@ impl Tracer {
                 ));
             }
         }
-        #[cfg(feature = "debug-invariants")]
-        {
-            let node_sum: u64 = inner.nodes.values().map(|s| s.sum_ns).sum();
-            let lane_sum: u64 = inner.lane_ns.iter().sum();
-            assert_eq!(
-                node_sum, lane_sum,
+        let node_sum: u64 = inner.nodes.values().map(|s| s.sum_ns).sum();
+        let lane_sum: u64 = inner.lane_ns.iter().sum();
+        if node_sum != lane_sum {
+            return Err(format!(
                 "trace self-consistency violated: attribution tree sums {node_sum}ns \
                  but lane accumulators hold {lane_sum}ns"
-            );
+            ));
         }
         Ok(())
     }

@@ -34,9 +34,10 @@
 //!   protocol trace;
 //! - [`rules`] — the rule table: one entry per rule id with its metadata
 //!   and its detector — a banned token sequence, a set of protocols, or a
-//!   bespoke per-file matcher;
-//! - [`sarif`] — the SARIF 2.1.0 emitter for the report (the text form is
-//!   [`Violation`]'s `Display`; traces become `codeFlows`).
+//!   bespoke per-file matcher.
+//!
+//! The report is text: one [`Violation`] `Display` per finding, protocol
+//! traces indented under it.
 //!
 //! It is still not rustc — the goal is catching honest regressions, not
 //! adversarial obfuscation — but findings carry file/line/column spans,
@@ -49,12 +50,10 @@
 //!
 //! Suppressions are themselves linted: the `stale-allow` rule fails the run
 //! when a `verify.allow` entry or an inline marker no longer matches any
-//! violation (dead exemptions hide future regressions), and
-//! `cargo run -p ooh-verify -- --prune-stale` rewrites `verify.allow`
-//! without the dead entries. The `feature-gate` rule checks that every
-//! debug-invariants hook site keeps its body behind
-//! `cfg!(feature = "debug-invariants")`, so release builds pay nothing for
-//! the shadow accounting.
+//! violation (dead exemptions hide future regressions), naming the line to
+//! delete. The `feature-gate` rule checks that every debug-invariants hook
+//! site keeps its body behind `ooh_machine::DEBUG_INVARIANTS`, so default
+//! builds pay nothing for the shadow accounting.
 
 #![forbid(unsafe_code)]
 
@@ -64,7 +63,6 @@ pub mod cfg;
 pub mod dataflow;
 pub mod lexer;
 pub mod rules;
-pub mod sarif;
 pub mod typestate;
 
 pub use rules::{rule_info, RuleInfo, RULES};
@@ -104,8 +102,8 @@ pub const NO_PANIC_CRATES: &[&str] = &["core", "machine", "hypervisor"];
 
 /// Debug-invariants hook sites: functions whose whole body is shadow
 /// accounting or invariant checking. Each must gate on
-/// `cfg!(feature = "debug-invariants")` so release builds compile the body
-/// out (the optimizer removes the `if false` arm). Names are exact; e.g. the
+/// `ooh_machine::DEBUG_INVARIANTS` so default builds compile the body out
+/// (the optimizer removes the `if false` arm). Names are exact; e.g. the
 /// hypervisor's `note_guest_pte_dirty_cleared` wrapper merely delegates to
 /// `note_guest_dirty_cleared` and is deliberately not listed.
 pub const GATED_HOOKS: &[&str] = &[
@@ -121,8 +119,7 @@ pub const GATED_HOOKS: &[&str] = &[
 ];
 
 /// One step of a protocol trace: where a typestate transition happened
-/// and what it did. Rendered under the finding in text output and as
-/// SARIF `codeFlows`/`relatedLocations`.
+/// and what it did. Rendered under the finding in the text report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceStep {
     /// 1-based line in the finding's file.
@@ -194,7 +191,7 @@ struct AllowEntry {
     path_suffix: String,
     /// If present, the raw source line must contain this substring.
     substring: Option<String>,
-    /// 1-based line in `verify.allow` (for stale-entry reports and pruning).
+    /// 1-based line in `verify.allow` (for stale-entry reports).
     line: usize,
     /// The trimmed entry text, echoed back in stale-entry reports.
     text: String,
@@ -296,20 +293,6 @@ impl Allowlist {
             .map(|e| (e.line, e.text.clone()))
             .collect()
     }
-}
-
-/// Drops the given 1-based lines from `verify.allow` text — the rewrite half
-/// of `--prune-stale`. Pure text surgery: comments, blank lines, and every
-/// non-stale entry survive byte-for-byte.
-pub fn prune_stale(allow_text: &str, stale_lines: &BTreeSet<usize>) -> String {
-    let mut out = String::new();
-    for (idx, line) in allow_text.lines().enumerate() {
-        if !stale_lines.contains(&(idx + 1)) {
-            out.push_str(line);
-            out.push('\n');
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -420,7 +403,7 @@ fn stale_allow(path: &str, line: usize, excerpt: String, message: String) -> Vio
     }
 }
 
-/// The report order every output format relies on for stability.
+/// The report order the text output relies on for stability.
 fn sort_findings(findings: &mut [Violation]) {
     findings.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.rule, a.col).cmp(&(b.path.as_str(), b.line, b.rule, b.col))
@@ -802,14 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_stale_drops_only_the_given_lines() {
-        let text = "# keep this comment\nrule-a src/a.rs\nrule-b src/b.rs\n";
-        let pruned = prune_stale(text, &BTreeSet::from([2]));
-        assert_eq!(pruned, "# keep this comment\nrule-b src/b.rs\n");
-        assert_eq!(prune_stale(text, &BTreeSet::new()), text);
-    }
-
-    #[test]
     fn ungated_debug_hook_is_flagged() {
         let src = "impl T {\n    pub fn note_hyp_dirty_logged(&mut self, p: u64) { self.shadow.insert(p); }\n}\n";
         let vs = scan("machine", src);
@@ -821,13 +796,22 @@ mod tests {
 
     #[test]
     fn gated_debug_hook_passes() {
-        let src = "impl T {\n    pub fn note_hyp_dirty_logged(&mut self, p: u64) {\n        if cfg!(feature = \"debug-invariants\") { self.shadow.insert(p); }\n    }\n}\n";
+        let src = "impl T {\n    pub fn note_hyp_dirty_logged(&mut self, p: u64) {\n        if crate::DEBUG_INVARIANTS { self.shadow.insert(p); }\n    }\n}\n";
         assert!(scan("machine", src).is_empty());
-        // Early-return style gates pass too (walker's fast-path check).
-        let src = "fn check_write_fast_path(&self) -> R {\n    if !cfg!(feature = \"debug-invariants\") { return Ok(()); }\n    self.deep_check()\n}\n";
+        // Early-return style gates pass too (walker's fast-path check), and
+        // so does the path other crates use.
+        let src = "fn check_write_fast_path(&self) -> R {\n    if !crate::DEBUG_INVARIANTS { return Ok(()); }\n    self.deep_check()\n}\n";
         assert!(scan("machine", src).is_empty());
-        // Gating on the wrong feature does not count.
-        let src = "fn shadow_reset_hyp(&mut self) { if cfg!(feature = \"other\") { self.s.clear(); } }\n";
+        let src = "fn check_step_invariants(&self) -> R {\n    if ooh_machine::DEBUG_INVARIANTS { self.p4()?; }\n    Ok(())\n}\n";
+        assert!(scan("core", src).is_empty());
+        // A raw feature gate, even on the right feature, does not count:
+        // only the machine crate declares `debug-invariants`.
+        let src = "fn shadow_reset_hyp(&mut self) { if cfg!(feature = \"debug-invariants\") { self.s.clear(); } }\n";
+        let vs = scan("machine", src);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!(vs[0].rule, "feature-gate");
+        // The name in a string or comment is not a gate.
+        let src = "fn shadow_reset_guest(&mut self) { // DEBUG_INVARIANTS\n    log(\"DEBUG_INVARIANTS\"); self.s.clear(); }\n";
         let vs = scan("machine", src);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].rule, "feature-gate");

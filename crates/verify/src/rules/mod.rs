@@ -15,7 +15,7 @@
 
 pub mod order;
 
-use crate::ast::{CallKind, ParsedFile};
+use crate::ast::ParsedFile;
 use crate::callgraph::CallGraph;
 use crate::lexer;
 use crate::typestate::{self, Check, EventPat, Protocol, Scope};
@@ -75,7 +75,7 @@ const RING_PROBES: &[&str] = &[
     "has_space",
 ];
 
-/// Every lint rule, in report order (SARIF `ruleIndex` is the position).
+/// Every lint rule, in report order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "det-time",
@@ -445,13 +445,13 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "stale-allow",
         summary: "every verify.allow entry and inline allow marker must still match a violation; prune dead exemptions",
-        help: "remove the dead suppression, or run `cargo run -p ooh-verify -- --prune-stale`",
+        help: "delete the dead line: the `verify.allow` entry, or the inline marker",
         detect: Detector::Suppressions,
     },
     RuleInfo {
         id: "feature-gate",
-        summary: "debug-invariants hook bodies must stay behind cfg!(feature = \"debug-invariants\")",
-        help: "wrap the hook body in `if cfg!(feature = \"debug-invariants\") { .. }` so release builds compile it out",
+        summary: "debug-invariants hook bodies must stay behind ooh_machine::DEBUG_INVARIANTS",
+        help: "wrap the hook body in `if DEBUG_INVARIANTS { .. }` (`ooh_machine::DEBUG_INVARIANTS` outside the machine crate) so default builds compile it out",
         detect: Detector::PerFile(feature_gate),
     },
 ];
@@ -515,11 +515,11 @@ fn token_runs<'a>(file: &'a ParsedFile, pat: &'a [lexer::Tok]) -> impl Iterator<
 }
 
 /// `feature-gate`: every function named in [`GATED_HOOKS`] must keep its
-/// body behind `cfg!(feature = "debug-invariants")`. The check is two-part
-/// because literal tokens carry no contents: the body must contain a
-/// `cfg!` macro token (the gate exists) and the *raw* body text must
-/// contain the `debug-invariants` feature name (it gates on the right
-/// feature).
+/// body behind `ooh_machine::DEBUG_INVARIANTS`, the one switch for the
+/// workspace's runtime invariants: its body must contain a
+/// `DEBUG_INVARIANTS` identifier token. A hook gated on a raw
+/// `cfg!(feature = ..)` is flagged, since only the machine crate declares
+/// the feature.
 fn feature_gate(file: &ParsedFile, out: &mut Vec<Violation>) {
     let rule = rule_info("feature-gate");
     for f in &file.fns {
@@ -529,16 +529,12 @@ fn feature_gate(file: &ParsedFile, out: &mut Vec<Violation>) {
         let Some((open, close)) = f.body else {
             continue;
         };
-        let has_cfg = file
-            .calls_in(open + 1, close)
+        let gated = file.toks[open + 1..close]
             .iter()
-            .any(|c| c.kind == CallKind::Macro && file.toks[c.tok].text == "cfg");
-        let lo = file.toks[open].pos;
-        let hi = file.toks[close].pos + 1;
-        let raw_body: String = file.source.chars().skip(lo).take(hi - lo).collect();
-        if !(has_cfg && raw_body.contains("debug-invariants")) {
+            .any(|t| t.kind == lexer::TokKind::Ident && t.text == "DEBUG_INVARIANTS");
+        if !gated {
             let message = format!(
-                "debug hook `{}` must gate its body behind cfg!(feature = \"debug-invariants\")",
+                "debug hook `{}` must gate its body behind DEBUG_INVARIANTS",
                 f.name
             );
             out.push(violation_at(file, f.fn_tok, rule.id, message, rule.help));

@@ -15,8 +15,8 @@
 //! Findings carry a *protocol trace*: a breadth-first search over the
 //! (block, event-position, state) product graph recovers the shortest
 //! path from function entry to the offending exit, and every transition
-//! along it becomes a [`crate::TraceStep`] (rendered as SARIF
-//! `codeFlows`/`relatedLocations`). Blocks guarded by a `mutate_*`
+//! along it becomes a [`crate::TraceStep`] (rendered under the finding in
+//! the text report). Blocks guarded by a `mutate_*`
 //! condition are fault-injection arms (the model's seeded mutations):
 //! the transfer function kills all states through them, so deliberately
 //! broken paths behind a knob are invisible — until a mutation driver

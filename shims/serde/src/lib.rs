@@ -4,22 +4,19 @@
 //! external dependencies are replaced by minimal local shims (see
 //! `shims/README.md`). This one provides exactly the surface the repo uses:
 //! a `Serialize` trait that renders JSON into a `String` (consumed by the
-//! `serde_json` shim's `to_string`), a marker `Deserialize` trait, and the
-//! two derive macros re-exported from `serde_derive`.
+//! `serde_json` shim's `to_string`) and its derive macro, re-exported from
+//! `serde_derive`. Nothing in the repo deserializes through serde (the CRIU
+//! wire format is hand-coded).
 //!
 //! It is NOT wire-compatible with real serde; it only has to agree with the
 //! sibling `serde_json` shim, which is the sole consumer in this repo.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// JSON-oriented serialization. `json` must append a single valid JSON value.
 pub trait Serialize {
     fn json(&self, out: &mut String);
 }
-
-/// Marker trait so `#[derive(Deserialize)]` sites keep compiling. Nothing in
-/// the repo deserializes through serde (the CRIU wire format is hand-coded).
-pub trait Deserialize {}
 
 macro_rules! int_impls {
     ($($t:ty),*) => {$(

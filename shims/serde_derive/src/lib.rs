@@ -22,16 +22,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     }
 }
 
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    match parse_item(input) {
-        Ok(item) => format!("impl serde::Deserialize for {} {{}}", item.name)
-            .parse()
-            .unwrap(),
-        Err(msg) => error(&msg),
-    }
-}
-
 fn error(msg: &str) -> TokenStream {
     format!("compile_error!({msg:?});").parse().unwrap()
 }

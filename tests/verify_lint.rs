@@ -2,7 +2,7 @@
 //! workspace's tier-1 test suite, so a violating diff fails `cargo test -q`
 //! without anyone having to remember to run the binary. Also holds the
 //! linter to its own standard: two scans of the same tree must render to
-//! byte-identical text, JSON, and SARIF.
+//! byte-identical text.
 
 #[test]
 fn workspace_passes_ooh_verify_lint() {
@@ -27,9 +27,9 @@ fn workspace_passes_ooh_verify_lint() {
 }
 
 /// The linter preaches determinism, so it is held to it: scanning the same
-/// tree twice must produce byte-identical reports in every output format.
-/// A diff here means a rule (or an emitter) depends on something other than
-/// the scanned sources — hasher state, timestamps, path iteration order.
+/// tree twice must produce byte-identical reports. A diff here means a rule
+/// depends on something other than the scanned sources — hasher state,
+/// timestamps, path iteration order.
 #[test]
 fn verify_output_is_byte_identical_across_runs() {
     let root = ooh_verify::workspace_root();
@@ -44,17 +44,12 @@ fn verify_output_is_byte_identical_across_runs() {
             .join("\n")
     };
     assert_eq!(text(&a), text(&b), "text rendering differs across runs");
-    assert_eq!(
-        ooh_verify::sarif::to_sarif(&a),
-        ooh_verify::sarif::to_sarif(&b),
-        "SARIF rendering differs across runs"
-    );
     assert_eq!(a.files_scanned, b.files_scanned);
     assert_eq!(a.allowed, b.allowed);
 }
 
 /// Findings come out sorted by `(path, line, rule, col)` — the order the
-/// formats rely on for stability.
+/// report relies on for stability.
 #[test]
 fn verify_findings_are_sorted() {
     // Scan a deliberately dirty two-file input so there are findings to
