@@ -19,7 +19,6 @@
 pub mod dirtyset;
 #[cfg(test)]
 mod invariants;
-pub mod model_port;
 pub mod pml_tracker;
 pub mod policy;
 pub mod proc_tracker;
@@ -29,10 +28,6 @@ pub mod tracker;
 pub mod ufd_tracker;
 
 pub use dirtyset::DirtySet;
-pub use model_port::{
-    technique_from_token, technique_token, ModelError, ModelPort, ModelSession, ModelViolation,
-    Mutation, Scenario, Step,
-};
 pub use pml_tracker::PmlTracker;
 pub use policy::{dirty_rate_pps, ConvergencePolicy, Decision, PolicyState};
 pub use proc_tracker::ProcTracker;

@@ -55,14 +55,6 @@ pub struct OohModule {
     /// Drains at or below this entry count invalidate per page; above it,
     /// one full TLB flush (Linux's flush-threshold heuristic; ablatable).
     pub invlpg_threshold: u64,
-    /// Seeded ordering mutation for the model checker's self-validation:
-    /// the drain resets the hardware index *before* copying entries out
-    /// (losing everything the buffer held). Never set in production paths.
-    pub mutate_clear_before_drain: bool,
-    /// Seeded ordering mutation: the schedule-out hook returns without
-    /// disabling logging or draining, so writes of the *next* process keep
-    /// logging into the tracked buffer. Never set in production paths.
-    pub mutate_skip_disable_logging: bool,
 }
 
 impl OohModule {
@@ -110,8 +102,6 @@ impl OohModule {
             entries_logged: 0,
             self_ipis: 0,
             invlpg_threshold: 64,
-            mutate_clear_before_drain: false,
-            mutate_skip_disable_logging: false,
         };
 
         match mode {
@@ -261,9 +251,6 @@ impl OohModule {
         kernel: &mut GuestKernel,
         hv: &mut Hypervisor,
     ) -> Result<(), GuestError> {
-        if self.mutate_skip_disable_logging {
-            return Ok(());
-        }
         self.disable_logging(kernel, hv)
     }
 
@@ -381,20 +368,6 @@ impl OohModule {
             (PML_ENTRIES - 1) as u64 - index
         };
         if count == 0 {
-            return Ok(());
-        }
-
-        if self.mutate_clear_before_drain {
-            // Seeded bug: reset the hardware index before copying anything
-            // out — the logged GVAs are gone, and the pages' dirty bits stay
-            // set so they never re-log either.
-            hv.guest_vmwrite(
-                kernel.vm,
-                kernel.vcpu,
-                Field::GuestPmlIndex,
-                (PML_ENTRIES - 1) as u64,
-                Lane::Kernel,
-            )?;
             return Ok(());
         }
 

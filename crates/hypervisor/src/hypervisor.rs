@@ -584,17 +584,6 @@ impl Hypervisor {
             .len()
     }
 
-    /// Discard every queued vector without delivering it, returning how many
-    /// were dropped. This is a *fault injection* hook for the model checker's
-    /// self-validation (the "lost IPI" mutation); production code never drops
-    /// posted interrupts.
-    pub fn discard_pending_interrupts(&mut self, vm: VmId, vcpu: u32) -> usize {
-        let vc = &mut self.vms[vm.0 as usize].vcpus[vcpu as usize];
-        let n = vc.pending_vectors.len();
-        vc.pending_vectors.clear();
-        n
-    }
-
     /// Free entry slots in the EPML guest buffer (`None` when EPML is not
     /// active on the vcpu). `Some(0)` means the next logged write takes the
     /// buffer-full path.

@@ -7,8 +7,10 @@
 //! and replays the path prefix. Every boot and replay is deterministic, so
 //! the restored state is bit-identical to the one left behind.
 
-use ooh_core::{ModelError, ModelPort, ModelSession, ModelViolation, Mutation, Scenario, Step};
-use ooh_core::{technique_token, Technique};
+use crate::session::{
+    technique_token, ModelError, ModelSession, ModelViolation, Mutation, Scenario, Step,
+};
+use ooh_core::Technique;
 use ooh_machine::StateHasher;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -122,7 +124,7 @@ impl Dfs {
         for &step in prefix {
             session
                 .apply(step)
-                .expect("deterministic replay of a previously clean prefix cannot violate");
+                .map_err(|violation| ModelError::ReplayDiverged { step, violation })?;
         }
         Ok(session)
     }

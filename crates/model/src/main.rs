@@ -12,10 +12,10 @@
 
 #![allow(clippy::print_stdout)]
 
-use ooh_core::{Mutation, Scenario, Technique};
+use ooh_core::Technique;
 use ooh_model::{
-    explore, replay, shrink, Counterexample, ExploreConfig, ModelConfig, ReplayOutcome,
-    ScheduleFile, ShrinkOutcome,
+    explore, replay, shrink, Counterexample, ExploreConfig, ModelConfig, Mutation, ReplayOutcome,
+    Scenario, ScheduleFile, ShrinkOutcome, Step,
 };
 use std::process::ExitCode;
 
@@ -50,7 +50,7 @@ fn parse_args() -> Result<Args, String> {
             "--technique" => {
                 let v = it.next().ok_or("--technique needs a value")?;
                 args.technique = Some(
-                    ooh_core::technique_from_token(&v)
+                    ooh_model::technique_from_token(&v)
                         .ok_or(format!("unknown technique {v:?}"))?,
                 );
             }
@@ -115,7 +115,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn format_schedule(steps: &[ooh_core::Step]) -> String {
+fn format_schedule(steps: &[Step]) -> String {
     steps
         .iter()
         .map(|s| s.to_string())
@@ -221,7 +221,7 @@ fn run_sweep(args: &Args) -> Result<bool, String> {
                 let mut stem = format!(
                     "violation-{}-{}",
                     model.scenario.token(),
-                    ooh_core::technique_token(model.technique)
+                    ooh_model::technique_token(model.technique)
                 );
                 if model.vcpus > 1 {
                     stem.push_str(&format!("-smp{}", model.vcpus));

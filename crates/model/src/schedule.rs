@@ -24,7 +24,7 @@
 //! an argument only for the write steps.
 
 use crate::explorer::ModelConfig;
-use ooh_core::{technique_from_token, technique_token, Mutation, Scenario, Step};
+use crate::session::{technique_from_token, technique_token, Mutation, Scenario, Step};
 
 /// A parsed (or to-be-serialized) schedule file.
 #[derive(Debug, Clone, PartialEq, Eq)]

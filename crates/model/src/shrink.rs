@@ -9,7 +9,7 @@
 //! enabled, so removing a step never makes a candidate un-runnable.
 
 use crate::explorer::{replay, ModelConfig, ReplayOutcome};
-use ooh_core::{ModelError, ModelViolation, Step};
+use crate::session::{ModelError, ModelViolation, Step};
 
 /// Result of a shrink run.
 #[derive(Debug)]
@@ -62,7 +62,8 @@ pub fn shrink(model: &ModelConfig, schedule: &[Step]) -> Result<ShrinkOutcome, M
 mod tests {
     use super::*;
     use crate::explorer::{explore, ExploreConfig};
-    use ooh_core::{Mutation, Scenario, Technique};
+    use crate::session::{Mutation, Scenario};
+    use ooh_core::Technique;
 
     #[test]
     fn shrinks_clear_before_drain_to_two_steps() {

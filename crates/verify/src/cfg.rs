@@ -17,12 +17,6 @@
 //!   error-shaped or success by [`range_err_shaped`]), `break`/`continue`
 //!   against an explicit loop stack, and `let .. else { .. }` divergent
 //!   arms;
-//! - fault-injection exemption: a branch arm whose condition (or match
-//!   pattern / guard) mentions an ident starting with `mutate_` is the
-//!   model's *seeded-mutation* arm — its blocks are marked [`Block::exempt`]
-//!   and the typestate engine drops all protocol states through them, so
-//!   deliberately-wrong paths that only exist behind a mutation knob do
-//!   not fire findings.
 //!
 //! `?` is deliberately ignored: its early exit is error-shaped by
 //! construction and protocol obligations never bind on error paths.
@@ -67,9 +61,6 @@ pub struct Block {
     pub events: Vec<Ev>,
     /// Successor block ids.
     pub succs: Vec<usize>,
-    /// True when this block sits under a fault-injection (`mutate_*`)
-    /// guard; the typestate engine kills protocol states here.
-    pub exempt: bool,
     /// Set when control leaves the function after this block's events.
     pub exit: Option<Exit>,
     /// True when the block ends in an error-shaped tail expression (no
@@ -94,8 +85,8 @@ impl Cfg {
             blocks: Vec::new(),
             loops: Vec::new(),
         };
-        let entry = b.new_block(false);
-        let opens = b.seq(open + 1, close, vec![entry], false);
+        let entry = b.new_block();
+        let opens = b.seq(open + 1, close, vec![entry]);
         for id in opens {
             let kind = if b.blocks[id].err_tail {
                 ExitKind::Err
@@ -118,11 +109,8 @@ struct Builder<'a> {
 }
 
 impl Builder<'_> {
-    fn new_block(&mut self, exempt: bool) -> usize {
-        self.blocks.push(Block {
-            exempt,
-            ..Block::default()
-        });
+    fn new_block(&mut self) -> usize {
+        self.blocks.push(Block::default());
         self.blocks.len() - 1
     }
 
@@ -133,8 +121,8 @@ impl Builder<'_> {
     }
 
     /// Creates a block fed by every id in `from`.
-    fn block_after(&mut self, from: &[usize], exempt: bool) -> usize {
-        let b = self.new_block(exempt);
+    fn block_after(&mut self, from: &[usize]) -> usize {
+        let b = self.new_block();
         for &f in from {
             self.edge(f, b);
         }
@@ -151,7 +139,7 @@ impl Builder<'_> {
     /// (fall-through) block ids; returns the open ends. Statements after a
     /// divergence still build blocks (unreachable, no in-edges) so token
     /// accounting stays simple — dataflow never visits them.
-    fn seq(&mut self, lo: usize, hi: usize, mut opens: Vec<usize>, exempt: bool) -> Vec<usize> {
+    fn seq(&mut self, lo: usize, hi: usize, mut opens: Vec<usize>) -> Vec<usize> {
         let hi = hi.min(self.toks.len());
         let mut i = lo;
         while i < hi {
@@ -160,13 +148,13 @@ impl Builder<'_> {
                 continue;
             }
             if self.toks[i].is_ident("if") {
-                let (next, out) = self.if_chain(i, hi, &opens, exempt);
+                let (next, out) = self.if_chain(i, hi, &opens);
                 opens = out;
                 i = next;
                 continue;
             }
             if self.toks[i].is_ident("match") {
-                if let Some((next, out)) = self.match_stmt(i, hi, &opens, exempt) {
+                if let Some((next, out)) = self.match_stmt(i, hi, &opens) {
                     opens = out;
                     i = next;
                     continue;
@@ -174,7 +162,7 @@ impl Builder<'_> {
             }
             if self.toks[i].is_ident("for") || self.toks[i].is_ident("while") || self.toks[i].is_ident("loop") {
                 if let Some((open, close)) = find_block(self.toks, self.matching, i + 1, hi) {
-                    opens = self.loop_stmt(i, open, close, &opens, exempt);
+                    opens = self.loop_stmt(i, open, close, &opens);
                     i = close + 1;
                     continue;
                 }
@@ -186,7 +174,7 @@ impl Builder<'_> {
                 let open = if self.toks[i].is_open('{') { i } else { i + 1 };
                 let close = self.matching[open];
                 if close != NO_MATCH && close < hi {
-                    opens = self.seq(open + 1, close, opens, exempt);
+                    opens = self.seq(open + 1, close, opens);
                     i = close + 1;
                     continue;
                 }
@@ -209,7 +197,7 @@ impl Builder<'_> {
             if i < hi {
                 i += 1; // consume `;`
             }
-            opens = self.plain_stmt(start, end, opens, exempt);
+            opens = self.plain_stmt(start, end, opens);
         }
         opens
     }
@@ -217,26 +205,26 @@ impl Builder<'_> {
     /// A plain statement: handles `let .. else`, top-level `return`,
     /// `break`, and `continue`; everything else is one event-carrying
     /// block.
-    fn plain_stmt(&mut self, lo: usize, hi: usize, opens: Vec<usize>, exempt: bool) -> Vec<usize> {
+    fn plain_stmt(&mut self, lo: usize, hi: usize, opens: Vec<usize>) -> Vec<usize> {
         // `let PAT = expr else { .. };` — the else arm diverges.
         if self.toks[lo].is_ident("let") {
             if let Some((e_open, e_close)) = self.let_else_block(lo, hi) {
-                let scrut = self.block_after(&opens, exempt);
+                let scrut = self.block_after(&opens);
                 self.push_calls(scrut, lo, e_open);
                 // Divergent arm: its own chain; any residual open end is a
                 // malformed non-diverging else — drop it (those paths were
                 // required to leave the block anyway).
-                let arm = self.new_block(exempt);
+                let arm = self.new_block();
                 self.edge(scrut, arm);
-                let _ = self.seq(e_open + 1, e_close, vec![arm], exempt);
+                let _ = self.seq(e_open + 1, e_close, vec![arm]);
                 // Fall-through continues past the else with the binding.
-                let cont = self.new_block(exempt);
+                let cont = self.new_block();
                 self.edge(scrut, cont);
                 self.push_calls(cont, e_close + 1, hi);
                 return vec![cont];
             }
         }
-        let b = self.block_after(&opens, exempt);
+        let b = self.block_after(&opens);
         self.push_calls(b, lo, hi);
         if let Some(r) = self.top_level_ident(lo, hi, "return") {
             let kind = if range_err_shaped(self.toks, r + 1, hi) {
@@ -319,23 +307,22 @@ impl Builder<'_> {
     /// own block (events in conditions are ordered before the arms), each
     /// arm is a sub-sequence, and a missing trailing `else` leaves the last
     /// condition block open.
-    fn if_chain(&mut self, i: usize, hi: usize, opens: &[usize], exempt: bool) -> (usize, Vec<usize>) {
+    fn if_chain(&mut self, i: usize, hi: usize, opens: &[usize]) -> (usize, Vec<usize>) {
         let mut out: Vec<usize> = Vec::new();
         let mut prev: Vec<usize> = opens.to_vec();
         let mut j = i;
         loop {
             let Some((open, close)) = find_block(self.toks, self.matching, j + 1, hi) else {
                 // Unparseable: degrade to one plain block over the rest.
-                let b = self.block_after(&prev, exempt);
+                let b = self.block_after(&prev);
                 self.push_calls(b, j, hi);
                 return (hi, vec![b]);
             };
-            let cond = self.block_after(&prev, exempt);
+            let cond = self.block_after(&prev);
             self.push_calls(cond, j + 1, open);
-            let arm_exempt = exempt || self.range_has_mutation_guard(j + 1, open);
-            let arm = self.new_block(arm_exempt);
+            let arm = self.new_block();
             self.edge(cond, arm);
-            out.extend(self.seq(open + 1, close, vec![arm], arm_exempt));
+            out.extend(self.seq(open + 1, close, vec![arm]));
             prev = vec![cond];
             j = close + 1;
             if j < hi && self.toks[j].is_ident("else") {
@@ -344,9 +331,9 @@ impl Builder<'_> {
                     continue;
                 }
                 if let Some((eo, ec)) = find_block(self.toks, self.matching, j + 1, hi) {
-                    let arm = self.new_block(exempt);
+                    let arm = self.new_block();
                     self.edge(cond, arm);
-                    out.extend(self.seq(eo + 1, ec, vec![arm], exempt));
+                    out.extend(self.seq(eo + 1, ec, vec![arm]));
                     prev = Vec::new();
                     j = ec + 1;
                 }
@@ -364,25 +351,23 @@ impl Builder<'_> {
         i: usize,
         hi: usize,
         opens: &[usize],
-        exempt: bool,
     ) -> Option<(usize, Vec<usize>)> {
         let (open, close) = find_block(self.toks, self.matching, i + 1, hi)?;
         let arms = match_arms(self.toks, self.matching, open);
-        let scrut = self.block_after(opens, exempt);
+        let scrut = self.block_after(opens);
         self.push_calls(scrut, i + 1, open);
         if arms.is_empty() {
             return Some((close + 1, vec![scrut]));
         }
         let mut out = Vec::new();
         for a in &arms {
-            let arm_exempt = exempt || self.range_has_mutation_guard(a.pat_lo, a.pat_hi);
-            let entry = self.new_block(arm_exempt);
+            let entry = self.new_block();
             self.edge(scrut, entry);
             self.blocks[entry].events.push(Ev::Arm {
                 lo: a.pat_lo,
                 hi: a.pat_hi,
             });
-            out.extend(self.seq(a.body_lo, a.body_hi, vec![entry], arm_exempt));
+            out.extend(self.seq(a.body_lo, a.body_hi, vec![entry]));
         }
         Some((close + 1, out))
     }
@@ -391,15 +376,15 @@ impl Builder<'_> {
     /// back edge; the head also exits to the after block (zero-iteration
     /// path — `loop` gets the same shape, which over-approximates "may
     /// leave", the forgiving direction).
-    fn loop_stmt(&mut self, i: usize, open: usize, close: usize, opens: &[usize], exempt: bool) -> Vec<usize> {
-        let head = self.block_after(opens, exempt);
+    fn loop_stmt(&mut self, i: usize, open: usize, close: usize, opens: &[usize]) -> Vec<usize> {
+        let head = self.block_after(opens);
         self.push_calls(head, i + 1, open);
-        let after = self.new_block(exempt);
+        let after = self.new_block();
         self.edge(head, after);
         self.loops.push((head, after));
-        let body = self.new_block(exempt);
+        let body = self.new_block();
         self.edge(head, body);
-        let ends = self.seq(open + 1, close, vec![body], exempt);
+        let ends = self.seq(open + 1, close, vec![body]);
         self.loops.pop();
         for e in ends {
             self.edge(e, head);
@@ -407,13 +392,6 @@ impl Builder<'_> {
         vec![after]
     }
 
-    /// True when `lo..hi` (a condition or match pattern) mentions an ident
-    /// starting with `mutate_` — the seeded fault-injection knobs.
-    fn range_has_mutation_guard(&self, lo: usize, hi: usize) -> bool {
-        self.toks[lo..hi.min(self.toks.len())]
-            .iter()
-            .any(|t| t.kind == TokKind::Ident && t.text.starts_with("mutate_"))
-    }
 }
 
 /// True when a `return` payload or tail expression is error-shaped: the
@@ -670,20 +648,6 @@ mod tests {
             .position(|b| call_names(&p, b).contains(&"use_it"))
             .unwrap();
         assert!(!div.succs.contains(&use_block));
-    }
-
-    #[test]
-    fn mutation_guarded_arm_is_exempt() {
-        let (p, c) = cfg_of("if self.mutate_skip { return; } a();");
-        let exempt: Vec<&Block> = c.blocks.iter().filter(|b| b.exempt).collect();
-        assert!(!exempt.is_empty(), "mutate_ guard arm must be exempt");
-        // The a() continuation is not exempt.
-        let a_block = c
-            .blocks
-            .iter()
-            .find(|b| call_names(&p, b).contains(&"a"))
-            .unwrap();
-        assert!(!a_block.exempt);
     }
 
     #[test]

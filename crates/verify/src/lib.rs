@@ -26,8 +26,7 @@
 //!   table, tracker collect/drain, shootdown broadcasts);
 //! - [`cfg`] — per-function control-flow graphs recovered from the token
 //!   stream (branches, loops, match arms, early returns, success vs
-//!   error-shaped exits), with fault-injection arms (`mutate_*` conditions)
-//!   marked exempt;
+//!   error-shaped exits);
 //! - [`dataflow`] + [`typestate`] — a forward fixpoint with a lattice join
 //!   over paths, and the engine that runs declarative lifecycle protocols
 //!   (state machines over call events) on it; findings carry a step-by-step
@@ -95,10 +94,10 @@ pub const SIM_CRATES: &[&str] = &[
 /// Crates that model guest-side (non-root) software. They may only reach
 /// physical memory through the hypervisor/machine API surface, never via the
 /// `HostPhys` handle that `crates/machine` exposes to vmx-root code.
-pub const GUEST_SIDE_CRATES: &[&str] = &["guest", "core", "criu", "gc", "secheap", "workloads"];
+pub const GUEST_SIDE_CRATES: &[&str] = &["guest", "core", "criu", "gc", "secheap", "workloads", "model"];
 
 /// Crates whose non-test code must not panic on recoverable errors.
-pub const NO_PANIC_CRATES: &[&str] = &["core", "machine", "hypervisor"];
+pub const NO_PANIC_CRATES: &[&str] = &["core", "machine", "hypervisor", "model"];
 
 /// Debug-invariants hook sites: functions whose whole body is shadow
 /// accounting or invariant checking. Each must gate on

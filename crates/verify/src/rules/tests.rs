@@ -247,14 +247,6 @@ fn sched_out_that_always_disables_is_clean() {
     assert!(scan("guest", src).is_empty());
 }
 
-#[test]
-fn mutation_guarded_skip_path_is_exempt() {
-    // The production shape: the skip path only exists behind the
-    // seeded-mutation knob, so it must NOT fire.
-    let src = "impl M {\n    fn sched_out(&mut self, hv: &mut H) -> Result<(), E> {\n        if self.mutate_skip_disable_logging { return Ok(()); }\n        self.disable_logging(hv)\n    }\n    fn disable_logging(&mut self, hv: &mut H) -> Result<(), E> { hv.hypercall(0, Hypercall::DisableLogging, 0) }\n}\n";
-    assert!(scan("guest", src).is_empty());
-}
-
 // --- drain-before-clear ----------------------------------------------------
 
 #[test]

@@ -16,12 +16,7 @@
 //! (block, event-position, state) product graph recovers the shortest
 //! path from function entry to the offending exit, and every transition
 //! along it becomes a [`crate::TraceStep`] (rendered under the finding in
-//! the text report). Blocks guarded by a `mutate_*`
-//! condition are fault-injection arms (the model's seeded mutations):
-//! the transfer function kills all states through them, so deliberately
-//! broken paths behind a knob are invisible — until a mutation driver
-//! makes them unconditional, which is exactly how the seeded-mutation
-//! cross-validation tests work (`tests/protocol_mutations.rs`).
+//! the text report).
 //!
 //! The protocols themselves are data in the rule table
 //! ([`crate::rules::RULES`]); this module knows nothing about PML or TLBs
@@ -392,13 +387,7 @@ fn run_protocol(
     if !touches && !by_name {
         return;
     }
-    let outs = forward(cfg, 1u32, |b, m| {
-        if cfg.blocks[b].exempt {
-            0
-        } else {
-            apply_block(*m, &trans[b])
-        }
-    });
+    let outs = forward(cfg, 1u32, |b, m| apply_block(*m, &trans[b]));
     let exits: Vec<_> = cfg
         .blocks
         .iter()
@@ -500,9 +489,6 @@ fn trace_path(
                 break;
             }
             for &s in &blk.succs {
-                if cfg.blocks[s].exempt {
-                    continue;
-                }
                 if !visited[idx(s, 0, cur.state)] {
                     visited[idx(s, 0, cur.state)] = true;
                     nodes.push(Node {

@@ -63,12 +63,18 @@ const MUTATIONS: &[(&str, &str, Edit)] = &[
     (
         "skip_disable_logging",
         "crates/guest/src/ooh_module.rs",
-        Edit::Replace("if self.mutate_skip_disable_logging {", "if true {"),
+        Edit::Replace(
+            "        self.disable_logging(kernel, hv)\n    }",
+            "        Ok(())\n    }",
+        ),
     ),
     (
         "clear_before_drain",
         "crates/guest/src/ooh_module.rs",
-        Edit::Replace("if self.mutate_clear_before_drain {", "if true {"),
+        Edit::Replace(
+            "        let per_page_invalidate =",
+            "        hv.guest_vmwrite(kernel.vm, kernel.vcpu, Field::GuestPmlIndex, 511, Lane::Kernel)?;\n        let per_page_invalidate =",
+        ),
     ),
     (
         "drop_ipi",

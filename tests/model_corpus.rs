@@ -13,8 +13,7 @@
 //! `debug-invariants` a schedule may instead trip a shadow-accounting panic
 //! first, which replay reports as a violation too — either way `Violated`.
 
-use ooh_core::Mutation;
-use ooh_model::{replay, ModelConfig, ReplayOutcome, ScheduleFile};
+use ooh_model::{replay, ModelConfig, Mutation, ReplayOutcome, ScheduleFile};
 
 fn corpus() -> Vec<(String, ScheduleFile)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/model_corpus");

@@ -1,12 +1,13 @@
 //! Cross-validation of the typestate protocols against ooh-model's
-//! seeded mutations: each of the three lifecycle bugs the model can
-//! inject at *runtime* (`crates/model`'s mutation knobs, exercised by the
-//! self-validation sweep) must also be caught *statically* by
-//! `ooh-verify` when the mutation is made unconditional in the source.
+//! seeded mutations: each of the three lifecycle bugs the model applies
+//! at *runtime* (`ooh_model::Mutation`, as orderings of the steps its
+//! session drives, exercised by the self-validation sweep) must also be
+//! caught *statically* by `ooh-verify` when the same bug is written into
+//! the source.
 //!
 //! The driver scans the real workspace sources — not corpus snippets —
-//! with one file textually mutated the same way the runtime knob would
-//! behave, and asserts the scan produces exactly the expected protocol
+//! with one file textually mutated to behave the way the runtime ordering
+//! does, and asserts the scan produces exactly the expected protocol
 //! finding. The unmutated workspace must scan clean (modulo the
 //! documented allowlist), so each finding is attributable to its
 //! mutation alone.
@@ -79,12 +80,15 @@ fn unmutated_workspace_is_protocol_clean() {
 }
 
 /// Model mutation `SkipDisableLogging`: sched-out returns without
-/// disabling dirty logging. Making the knob's arm unconditional is
-/// exactly what the runtime mutation does on every sched-out.
+/// disabling dirty logging, which is what the model's unhooked switch
+/// does on every sched-out.
 #[test]
 fn skip_disable_logging_is_caught_statically() {
     let vs = scan_mutated("crates/guest/src/ooh_module.rs", |src| {
-        src.replace("if self.mutate_skip_disable_logging {", "if true {")
+        src.replace(
+            "        self.disable_logging(kernel, hv)\n    }",
+            "        Ok(())\n    }",
+        )
     });
     assert_single_protocol_finding(&vs, "spml-pairing", "crates/guest/src/ooh_module.rs");
 }
@@ -94,12 +98,15 @@ fn skip_disable_logging_is_caught_statically() {
 #[test]
 fn clear_before_drain_is_caught_statically() {
     let vs = scan_mutated("crates/guest/src/ooh_module.rs", |src| {
-        src.replace("if self.mutate_clear_before_drain {", "if true {")
+        src.replace(
+            "        let per_page_invalidate =",
+            "        hv.guest_vmwrite(kernel.vm, kernel.vcpu, Field::GuestPmlIndex, 511, Lane::Kernel)?;\n        let per_page_invalidate =",
+        )
     });
     assert_single_protocol_finding(&vs, "drain-before-clear", "crates/guest/src/ooh_module.rs");
 }
 
-/// Model mutation `DropIpi` (`discard_pending_interrupts`): the
+/// Model mutation `DropIpi` (the model clears the pending vectors): the
 /// GuestBufferFull dispatch arm never posts the EPML self-IPI. The
 /// static equivalent deletes the `post_interrupt` call.
 #[test]
