@@ -1,11 +1,11 @@
 //! `bench_results/<id>.txt` is what `ooh-bench <id>` prints, byte for byte.
 //!
-//! Every report in `ooh_bench::reports::ALL` is pinned here. The nine that
-//! render in seconds unoptimised run in tier-1; the rest are ignored as
-//! `release-only` and run by `cargo test --release --test bench_results --
-//! --ignored` (CI does). A pin fails on the first differing line; if the
-//! change is intended, regenerate with `cargo run --release -p ooh-bench --
-//! <id> > bench_results/<id>.txt` and explain the diff.
+//! Every report in `ooh_bench::reports::ALL` is pinned here, and all 16 run
+//! in tier-1 (`cargo test`; the simulator crates build at `opt-level = 2`
+//! in the dev profile, see the root `Cargo.toml`). A pin fails on the first
+//! differing line; if the change is intended, regenerate with `cargo run
+//! --release -p ooh-bench -- <id> > bench_results/<id>.txt` and explain
+//! the diff.
 
 use ooh_bench::reports::ALL;
 use std::collections::BTreeSet;
@@ -41,16 +41,15 @@ fn pin(id: &str) {
 
 /// One test per report, and the list of every id the macro pinned.
 macro_rules! pins {
-    (tier1: [$($fast:ident),*], release_only: [$($slow:ident),*]) => {
-        const PINNED: &[&str] = &[$(stringify!($fast),)* $(stringify!($slow),)*];
-        $(#[test] fn $fast() { pin(stringify!($fast)) })*
-        $(#[test] #[ignore = "release-only"] fn $slow() { pin(stringify!($slow)) })*
+    ($($id:ident),*) => {
+        const PINNED: &[&str] = &[$(stringify!($id),)*];
+        $(#[test] fn $id() { pin(stringify!($id)) })*
     };
 }
 
 pins!(
-    tier1: [fig1, smp, table6, table4, fleet_snap, ablation, fig3, table5, hugepage],
-    release_only: [fig10_11, table1, table3, fig4, fig5, fig7_8_9, fig6]
+    fig1, smp, table6, table4, fleet_snap, ablation, fig3, table5, hugepage, fig10_11, table1,
+    table3, fig4, fig5, fig7_8_9, fig6
 );
 
 /// A report cannot land unpinned, and a pinned file cannot outlive its
