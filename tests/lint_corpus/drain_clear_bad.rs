@@ -2,7 +2,7 @@
 //! single logged entry has been copied into the ring — the hardware
 //! discards the buffer contents and the pages' D bits were never
 //! cleared, so those writes are lost to the tracker. Mirrors the model's
-//! ClearBeforeDrain seeded mutation, minus the `mutate_*` knob.
+//! ClearBeforeDrain mutation, written into the drain itself.
 
 pub struct OohModule {
     ring: SpscRing,

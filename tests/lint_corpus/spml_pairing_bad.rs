@@ -1,8 +1,8 @@
 //! Known-bad: `sched_out` has an early-return path that never reaches
 //! DisableLogging, so the vCPU is descheduled with dirty logging still
 //! enabled — the next tenant on the core inherits the PML machinery.
-//! Mirrors the model's SkipDisableLogging seeded mutation, minus the
-//! `mutate_*` knob that exempts it in production.
+//! Mirrors the model's SkipDisableLogging mutation, written into the
+//! hook as an early return instead of a switch with the module unhooked.
 
 pub struct OohModule {
     idle: bool,
